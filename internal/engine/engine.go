@@ -12,6 +12,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -120,23 +121,28 @@ func (db *DB) Table(id uint32) *Table {
 type Txn struct {
 	db      *DB
 	inner   *mvto.Txn
-	lastLSN uint64
-	began   bool // BEGIN record written
+	lastLSN uint64 // this transaction's newest log record; 0 before the first
 
 	// idxInserts tracks (table, key) pairs added to indexes by this
 	// transaction, removed again on abort.
 	idxInserts []idxOp
-	// idxDeletes tracks (table, key) pairs to remove at commit.
+	// idxDeletes tracks (table, key) pairs to remove from the primary and
+	// secondary indexes at commit.
 	idxDeletes []idxOp
-	// secUndos undo secondary-index changes on abort; secDeletes apply
-	// secondary-index removals at commit.
-	secUndos   []func()
-	secDeletes []func()
+	// secUndos undo secondary-index changes on abort.
+	secUndos []func()
 }
 
 type idxOp struct {
-	table *Table
-	key   uint64
+	table   *Table
+	key     uint64
+	payload []byte // deleted row's payload, kept for secondary indexes
+}
+
+// pendingDelete returns the index in t.idxDeletes of key's delete in tb,
+// or -1 when this transaction has not deleted it.
+func (t *Txn) pendingDelete(tb *Table, key uint64) int {
+	return slices.IndexFunc(t.idxDeletes, func(op idxOp) bool { return op.table == tb && op.key == key })
 }
 
 // Begin starts a transaction.
@@ -148,42 +154,38 @@ func (db *DB) Begin() *Txn {
 func (t *Txn) TS() uint64 { return t.inner.TS }
 
 // log appends a WAL record for this transaction (no-op without a WAL).
+// There is no BEGIN record: the first record has PrevLSN 0, and recovery
+// treats any transaction with records but no COMMIT or ABORT as a loser.
 func (t *Txn) log(ctx *core.Ctx, rec *wal.Record) error {
 	if t.db.wal == nil {
 		return nil
 	}
-	if !t.began {
-		t.began = true
-		lsn, err := t.db.wal.Append(ctx.Clock, &wal.Record{TxnID: t.inner.TS, Type: wal.RecBegin})
-		if err != nil {
-			return err
-		}
-		t.lastLSN = lsn
-	}
 	rec.TxnID = t.inner.TS
 	rec.PrevLSN = t.lastLSN
 	lsn, err := t.db.wal.Append(ctx.Clock, rec)
-	if err != nil {
-		return err
+	if lsn != 0 {
+		// Append can persist the record and then fail its threshold
+		// flush. The record is in the log either way, so the next record
+		// and the ABORT or COMMIT must follow it.
+		t.lastLSN = lsn
 	}
-	t.lastLSN = lsn
-	return nil
+	return err
 }
 
 // Commit makes the transaction durable: its commit record is persisted in
 // the NVM log buffer (§5.2), after which its in-place versions are the
 // committed state.
 func (t *Txn) Commit(ctx *core.Ctx) error {
-	if t.began {
+	if t.lastLSN != 0 {
 		if err := t.log(ctx, &wal.Record{Type: wal.RecCommit}); err != nil {
 			return err
 		}
 	}
 	for _, op := range t.idxDeletes {
 		op.table.index.Delete(op.key)
-	}
-	for _, f := range t.secDeletes {
-		f()
+		for _, sec := range op.table.secondaries {
+			sec.onDelete(op.key, op.payload)
+		}
 	}
 	t.db.tm.Commit(t.inner)
 	if n := t.db.commitCount.Add(1); t.db.gcEvery > 0 && n%t.db.gcEvery == 0 {
@@ -193,7 +195,7 @@ func (t *Txn) Commit(ctx *core.Ctx) error {
 }
 
 // Abort rolls the transaction back: every written slot is restored from its
-// parked before-image and index insertions are removed.
+// parked (zero-trimmed) before-image and index insertions are removed.
 func (t *Txn) Abort(ctx *core.Ctx) error {
 	undos := t.db.tm.AbortStart(t.inner)
 	for i := len(undos) - 1; i >= 0; i-- {
@@ -208,7 +210,7 @@ func (t *Txn) Abort(ctx *core.Ctx) error {
 			h.Release()
 			return fmt.Errorf("engine: abort: no table for rid %d", u.RID)
 		}
-		err = h.WriteAt(ctx, slotOffset(tb.tupleSize, slot), u.Before)
+		err = h.WriteAt(ctx, slotOffset(tb.tupleSize, slot), fullSlot(u.Before, slotSize(tb.tupleSize)))
 		h.Release()
 		if err != nil {
 			return err
@@ -220,7 +222,7 @@ func (t *Txn) Abort(ctx *core.Ctx) error {
 	for i := len(t.secUndos) - 1; i >= 0; i-- {
 		t.secUndos[i]()
 	}
-	if t.began {
+	if t.lastLSN != 0 {
 		if err := t.log(ctx, &wal.Record{Type: wal.RecAbort}); err != nil {
 			return err
 		}

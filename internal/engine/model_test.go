@@ -95,20 +95,15 @@ func TestQuickTxnModel(t *testing.T) {
 				txnAborts = o.Abort
 			}
 			k := uint64(o.Key % 24)
-			cur, exists := view(k)
-			_ = cur
+			_, exists := view(k)
 			switch o.Kind % 4 {
 			case 0: // insert
-				// A key deleted earlier in this same transaction keeps its
-				// index entry until commit, so re-insert is rejected even
-				// though reads see it as gone.
-				_, pendEntry := pending[k]
-				_, committed := model[k]
-				insertBlocked := pendEntry || committed
+				// Insert succeeds exactly when the key is absent from the
+				// transaction's view, including a key it deleted itself.
 				err := tb.Insert(ctx, txn, k, payload(o.Val))
-				if insertBlocked {
+				if exists {
 					if err == nil {
-						t.Fatalf("insert of indexed key %d succeeded", k)
+						t.Fatalf("insert of existing key %d succeeded", k)
 					}
 				} else {
 					if err != nil {
@@ -118,8 +113,11 @@ func TestQuickTxnModel(t *testing.T) {
 					inTxnOps++
 				}
 			case 1: // update
+				// An update of a key this transaction deleted revives it.
+				v, deletedHere := pending[k]
+				deletedHere = deletedHere && v == nil
 				err := tb.Update(ctx, txn, k, payload(o.Val))
-				if !exists {
+				if !exists && !deletedHere {
 					if !errors.Is(err, ErrNotFound) {
 						t.Fatalf("update of missing key %d: %v", k, err)
 					}
@@ -185,7 +183,7 @@ func TestQuickTxnModel(t *testing.T) {
 		audit.Commit(ctx)
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -18,8 +18,9 @@ import (
 // Each slot is: 8-byte tuple header | 8-byte key | payload. The tuple
 // header carries the version's write timestamp plus occupancy/tombstone
 // flags, which is all MVTO needs to decide visibility (§5.2). Page LSNs are
-// unnecessary: the WAL logs full slot images, so redo is a blind physical
-// replay in LSN order.
+// unnecessary: the WAL logs whole-slot images (with trailing zeros trimmed,
+// restored by zero-filling on replay), so redo is a blind physical replay
+// in LSN order.
 const (
 	pageHeaderSize = 64
 	pageMagic      = 0x53504750 // "SPGP"
@@ -125,4 +126,25 @@ func validateSlot(tupleSize, slot int) error {
 		return fmt.Errorf("engine: slot %d out of range for %d-byte tuples", slot, tupleSize)
 	}
 	return nil
+}
+
+// trimZeros returns img without its trailing zero bytes. Log records and
+// version-store entries keep slot images trimmed; fullSlot restores them.
+func trimZeros(img []byte) []byte {
+	n := len(img)
+	for n > 0 && img[n-1] == 0 {
+		n--
+	}
+	return img[:n]
+}
+
+// fullSlot returns img zero-extended to ss bytes (img itself when it is
+// already that long).
+func fullSlot(img []byte, ss int) []byte {
+	if len(img) == ss {
+		return img
+	}
+	out := make([]byte, ss)
+	copy(out, img)
+	return out
 }

@@ -36,56 +36,51 @@ type RecoverOptions struct {
 }
 
 // applier adapts the engine to wal.Applier for the redo/undo passes.
-// Records are full slot images, so redo is a blind physical replay in LSN
-// order and undo restores before-images directly.
+// Records carry whole-slot images with trailing zeros trimmed, so redo is a
+// blind physical replay in LSN order and undo restores before-images
+// directly; either zero-fills the image to the full slot first.
 type applier struct {
 	db  *DB
 	ctx *core.Ctx
 }
 
-func (a *applier) handleFor(c *vclock.Clock, rec *wal.Record) (*core.Handle, *Table, error) {
+// install writes img, zero-filled to a full slot, into rec's slot.
+func (a *applier) install(rec *wal.Record, img []byte) error {
 	tb := a.db.Table(rec.TableID)
 	if tb == nil {
-		return nil, nil, fmt.Errorf("engine: recovery: unknown table %d", rec.TableID)
+		return fmt.Errorf("engine: recovery: unknown table %d", rec.TableID)
+	}
+	ss := slotSize(tb.tupleSize)
+	if len(img) > ss || int(rec.Slot) >= tb.slots {
+		return fmt.Errorf("engine: recovery: %d-byte image for slot %d of table %d (slot size %d)", len(img), rec.Slot, tb.id, ss)
 	}
 	h, err := a.db.bm.MaterializePage(a.ctx, rec.PageID)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
+	defer h.Release()
 	// Fresh pages need their header re-established.
 	var hdr [pageHeaderSize]byte
 	if err := h.ReadAt(a.ctx, 0, hdr[:]); err != nil {
-		h.Release()
-		return nil, nil, err
+		return err
 	}
 	if _, _, ok := decodePageHeader(hdr[:]); !ok {
 		encodePageHeader(hdr[:], tb.id, tb.tupleSize)
 		if err := h.WriteAt(a.ctx, 0, hdr[:]); err != nil {
-			h.Release()
-			return nil, nil, err
+			return err
 		}
 	}
-	return h, tb, nil
+	return h.WriteAt(a.ctx, slotOffset(tb.tupleSize, int(rec.Slot)), fullSlot(img, ss))
 }
 
 // ApplyRedo implements wal.Applier.
-func (a *applier) ApplyRedo(c *vclock.Clock, rec *wal.Record) error {
-	h, tb, err := a.handleFor(c, rec)
-	if err != nil {
-		return err
-	}
-	defer h.Release()
-	return h.WriteAt(a.ctx, slotOffset(tb.tupleSize, int(rec.Slot)), rec.After)
+func (a *applier) ApplyRedo(_ *vclock.Clock, rec *wal.Record) error {
+	return a.install(rec, rec.After)
 }
 
 // ApplyUndo implements wal.Applier.
-func (a *applier) ApplyUndo(c *vclock.Clock, rec *wal.Record) error {
-	h, tb, err := a.handleFor(c, rec)
-	if err != nil {
-		return err
-	}
-	defer h.Release()
-	return h.WriteAt(a.ctx, slotOffset(tb.tupleSize, int(rec.Slot)), rec.Before)
+func (a *applier) ApplyUndo(_ *vclock.Clock, rec *wal.Record) error {
+	return a.install(rec, rec.Before)
 }
 
 // Recover rebuilds a database after a crash, per §5.2 of the paper:
@@ -119,6 +114,13 @@ func Recover(ctx *core.Ctx, opt RecoverOptions) (*DB, *wal.RecoveredLog, error) 
 		return nil, nil, err
 	}
 	db.wal = walMgr
+	// Transaction ids are MVTO timestamps. An undone loser's id appears on
+	// no page, so the page scan alone could hand it out again, and the
+	// ABORT recovery just logged for it would then void the new
+	// transaction's records in the next recovery.
+	for i := range rl.Records {
+		db.tm.AdvanceTS(rl.Records[i].TxnID)
+	}
 
 	if err := db.rebuildDirectories(ctx); err != nil {
 		return nil, nil, err

@@ -34,7 +34,7 @@ type secondary interface {
 	secName() string
 	onInsert(txn *Txn, primary uint64, payload []byte)
 	onUpdate(txn *Txn, primary uint64, before, after []byte)
-	onDelete(txn *Txn, primary uint64, payload []byte)
+	onDelete(primary uint64, payload []byte) // at commit
 	onLoad(primary uint64, payload []byte)
 }
 
@@ -98,9 +98,9 @@ func (ix *SecondaryIndex[K]) onUpdate(txn *Txn, primary uint64, before, after []
 	})
 }
 
-func (ix *SecondaryIndex[K]) onDelete(txn *Txn, primary uint64, payload []byte) {
-	k := ix.extract(primary, payload)
-	// Like the primary index, removal happens at commit so older snapshots
-	// can still find the row; aborts need no action.
-	txn.secDeletes = append(txn.secDeletes, func() { ix.tree.Delete(k) })
+// onDelete runs when a delete commits: like the primary index, removal
+// waits for commit so older snapshots can still find the row, and aborts
+// need no action.
+func (ix *SecondaryIndex[K]) onDelete(primary uint64, payload []byte) {
+	ix.tree.Delete(ix.extract(primary, payload))
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/spitfire-db/spitfire/internal/btree"
 	"github.com/spitfire-db/spitfire/internal/core"
@@ -108,27 +109,57 @@ func (tb *Table) allocRID(ctx *core.Ctx) (RID, error) {
 	return rid, nil
 }
 
-// readSlot copies the full slot image at rid via the handle.
-func (tb *Table) readSlot(ctx *core.Ctx, h *core.Handle, slot int, buf []byte) error {
-	return h.ReadAt(ctx, slotOffset(tb.tupleSize, slot), buf)
-}
-
-// slotWTS reads just the tuple header at rid via the handle.
-func (tb *Table) slotWTS(ctx *core.Ctx, h *core.Handle, slot int) (uint64, error) {
-	var hdr [tupleHeaderSize]byte
-	if err := h.ReadAt(ctx, slotOffset(tb.tupleSize, slot), hdr[:]); err != nil {
+// readSlot copies slot's full image into buf (one slot's worth of bytes)
+// and returns the write timestamp in its tuple header. MVTO calls it under
+// the tuple latch, so the image stays the in-place version the visibility
+// decision was made on.
+func (tb *Table) readSlot(ctx *core.Ctx, h *core.Handle, slot int, buf []byte) (uint64, error) {
+	if err := h.ReadAt(ctx, slotOffset(tb.tupleSize, slot), buf); err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint64(hdr[:]), nil
+	wts, _, _ := parseTupleHeader(binary.LittleEndian.Uint64(buf))
+	return wts, nil
 }
 
-// Insert adds a tuple under key. It fails if the key already exists.
+// writeSlot installs after over before (both full slot images) under the
+// tuple latch. It logs both images with their trailing zeros trimmed and
+// rewrites only the bytes either version occupies: everything past them is
+// zero on the page and in after alike. It returns the trimmed before-image
+// for the version store.
+func (tb *Table) writeSlot(ctx *core.Ctx, txn *Txn, h *core.Handle, typ wal.RecordType, pid core.PageID, slot int, before, after []byte) ([]byte, error) {
+	b, a := trimZeros(before), trimZeros(after)
+	if err := txn.log(ctx, &wal.Record{
+		Type: typ, TableID: tb.id, PageID: pid, Slot: uint16(slot),
+		Before: b, After: a,
+	}); err != nil {
+		return nil, err
+	}
+	n := max(len(b), len(a))
+	if err := h.WriteAt(ctx, slotOffset(tb.tupleSize, slot), after[:n]); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// slotBuffers returns a before and an after slot image backed by one
+// allocation.
+func (tb *Table) slotBuffers() (before, after []byte) {
+	ss := slotSize(tb.tupleSize)
+	buf := make([]byte, 2*ss)
+	return buf[:ss:ss], buf[ss:]
+}
+
+// Insert adds a tuple under key. It fails if the key already exists, unless
+// this transaction deleted it: then the insert revives the deleted slot.
 func (tb *Table) Insert(ctx *core.Ctx, txn *Txn, key uint64, payload []byte) error {
 	if len(payload) != tb.tupleSize {
 		return fmt.Errorf("engine: %s: payload is %d bytes, want %d", tb.name, len(payload), tb.tupleSize)
 	}
-	if _, exists := tb.index.Get(key); exists {
-		return fmt.Errorf("engine: %s: duplicate key %d", tb.name, key)
+	if rid, exists := tb.index.Get(key); exists {
+		if txn.pendingDelete(tb, key) < 0 {
+			return fmt.Errorf("engine: %s: duplicate key %d", tb.name, key)
+		}
+		return tb.writeRID(ctx, txn, rid, key, payload, false)
 	}
 	tb.db.chargeCompute(ctx)
 	rid, err := tb.allocRID(ctx)
@@ -142,30 +173,12 @@ func (tb *Table) Insert(ctx *core.Ctx, txn *Txn, key uint64, payload []byte) err
 	}
 	defer h.Release()
 
-	ss := slotSize(tb.tupleSize)
+	before, after := tb.slotBuffers()
 	err = tb.db.tm.Write(txn.inner, rid,
-		func() uint64 {
-			wts, _ := tb.slotWTS(ctx, h, slot)
-			w, _, _ := parseTupleHeader(wts)
-			return w
-		},
+		func() (uint64, error) { return tb.readSlot(ctx, h, slot, before) },
 		func() ([]byte, error) {
-			before := make([]byte, ss)
-			if err := tb.readSlot(ctx, h, slot, before); err != nil {
-				return nil, err
-			}
-			after := make([]byte, ss)
 			buildSlot(after, tupleHeader(txn.inner.TS, false), key, payload)
-			if err := txn.log(ctx, &wal.Record{
-				Type: wal.RecInsert, TableID: tb.id, PageID: pid, Slot: uint16(slot),
-				Before: before, After: after,
-			}); err != nil {
-				return nil, err
-			}
-			if err := h.WriteAt(ctx, slotOffset(tb.tupleSize, slot), after); err != nil {
-				return nil, err
-			}
-			return before, nil
+			return tb.writeSlot(ctx, txn, h, wal.RecInsert, pid, slot, before, after)
 		})
 	if err != nil {
 		return err
@@ -204,24 +217,15 @@ func (tb *Table) ReadRID(ctx *core.Ctx, txn *Txn, rid RID, buf []byte) error {
 	}
 	defer h.Release()
 
-	ss := slotSize(tb.tupleSize)
+	raw := make([]byte, slotSize(tb.tupleSize))
 	return tb.db.tm.Read(txn.inner, rid,
-		func() uint64 {
-			hdr, _ := tb.slotWTS(ctx, h, slot)
-			w, _, _ := parseTupleHeader(hdr)
-			return w
-		},
+		func() (uint64, error) { return tb.readSlot(ctx, h, slot, raw) },
 		func(hist []byte) error {
-			var img slotImage
 			if hist != nil {
-				img = parseSlot(hist)
-			} else {
-				raw := make([]byte, ss)
-				if err := tb.readSlot(ctx, h, slot, raw); err != nil {
-					return err
-				}
-				img = parseSlot(raw)
+				// Version-store images are zero-trimmed.
+				clear(raw[copy(raw, hist):])
 			}
+			img := parseSlot(raw)
 			_, occupied, tomb := parseTupleHeader(img.header)
 			if !occupied || tomb {
 				return fmt.Errorf("%w: %s rid %d", ErrNotFound, tb.name, rid)
@@ -231,7 +235,8 @@ func (tb *Table) ReadRID(ctx *core.Ctx, txn *Txn, rid RID, buf []byte) error {
 		})
 }
 
-// Update overwrites the tuple under key, honoring MVTO write rules.
+// Update overwrites the tuple under key, honoring MVTO write rules. A key
+// this transaction deleted is revived.
 func (tb *Table) Update(ctx *core.Ctx, txn *Txn, key uint64, payload []byte) error {
 	if len(payload) != tb.tupleSize {
 		return fmt.Errorf("engine: %s: payload is %d bytes, want %d", tb.name, len(payload), tb.tupleSize)
@@ -250,14 +255,12 @@ func (tb *Table) Delete(ctx *core.Ctx, txn *Txn, key uint64) error {
 	if !ok {
 		return fmt.Errorf("%w: %s key %d", ErrNotFound, tb.name, key)
 	}
-	if err := tb.writeRID(ctx, txn, rid, key, make([]byte, tb.tupleSize), true); err != nil {
-		return err
-	}
-	txn.idxDeletes = append(txn.idxDeletes, idxOp{table: tb, key: key})
-	return nil
+	return tb.writeRID(ctx, txn, rid, key, nil, true)
 }
 
-// writeRID applies an update or delete at rid.
+// writeRID applies an update or a delete (tombstone) at rid. An update of a
+// slot this transaction tombstoned revives it and cancels the pending
+// index removal.
 func (tb *Table) writeRID(ctx *core.Ctx, txn *Txn, rid RID, key uint64, payload []byte, tombstone bool) error {
 	pid, slot := splitRID(rid)
 	if err := validateSlot(tb.tupleSize, slot); err != nil {
@@ -270,55 +273,41 @@ func (tb *Table) writeRID(ctx *core.Ctx, txn *Txn, rid RID, key uint64, payload 
 	}
 	defer h.Release()
 
-	ss := slotSize(tb.tupleSize)
 	recType := wal.RecUpdate
 	if tombstone {
 		recType = wal.RecDelete
 	}
-	var beforePayload []byte
-	if len(tb.secondaries) > 0 {
-		beforePayload = make([]byte, tb.tupleSize)
-	}
+	before, after := tb.slotBuffers()
+	revive := -1 // index of the pending delete this write cancels
 	err = tb.db.tm.Write(txn.inner, rid,
-		func() uint64 {
-			hdr, _ := tb.slotWTS(ctx, h, slot)
-			w, _, _ := parseTupleHeader(hdr)
-			return w
-		},
+		func() (uint64, error) { return tb.readSlot(ctx, h, slot, before) },
 		func() ([]byte, error) {
-			before := make([]byte, ss)
-			if err := tb.readSlot(ctx, h, slot, before); err != nil {
-				return nil, err
+			_, occupied, tomb := parseTupleHeader(binary.LittleEndian.Uint64(before))
+			if !occupied || tomb {
+				if occupied && !tombstone {
+					revive = txn.pendingDelete(tb, key)
+				}
+				if revive < 0 {
+					return nil, fmt.Errorf("%w: %s rid %d", ErrNotFound, tb.name, rid)
+				}
 			}
-			img := parseSlot(before)
-			if _, occupied, tomb := parseTupleHeader(img.header); !occupied || tomb {
-				return nil, fmt.Errorf("%w: %s rid %d", ErrNotFound, tb.name, rid)
-			}
-			if beforePayload != nil {
-				copy(beforePayload, img.payload)
-			}
-			after := make([]byte, ss)
 			buildSlot(after, tupleHeader(txn.inner.TS, tombstone), key, payload)
-			if err := txn.log(ctx, &wal.Record{
-				Type: recType, TableID: tb.id, PageID: pid, Slot: uint16(slot),
-				Before: before, After: after,
-			}); err != nil {
-				return nil, err
-			}
-			if err := h.WriteAt(ctx, slotOffset(tb.tupleSize, slot), after); err != nil {
-				return nil, err
-			}
-			return before, nil
+			return tb.writeSlot(ctx, txn, h, recType, pid, slot, before, after)
 		})
 	if err != nil {
 		return err
 	}
+	prev := parseSlot(before).payload // the replaced version's payload
+	if revive >= 0 {
+		prev = txn.idxDeletes[revive].payload
+		txn.idxDeletes = slices.Delete(txn.idxDeletes, revive, revive+1)
+	}
+	if tombstone {
+		txn.idxDeletes = append(txn.idxDeletes, idxOp{table: tb, key: key, payload: prev})
+		return nil
+	}
 	for _, sec := range tb.secondaries {
-		if tombstone {
-			sec.onDelete(txn, key, beforePayload)
-		} else {
-			sec.onUpdate(txn, key, beforePayload, payload)
-		}
+		sec.onUpdate(txn, key, prev, payload)
 	}
 	return nil
 }

@@ -447,16 +447,22 @@ func bytesEqual(a, b []byte) bool {
 
 // tortureFill writes the deterministic tuple image for (key, seq): the seq
 // word followed by an xorshift stream seeded from both, so any torn or
-// cross-wired recovery shows up as a payload mismatch.
+// cross-wired recovery shows up as a payload mismatch. The stream stops at
+// a length that also depends on (key, seq) and zeros fill the rest, so a
+// key's updates grow and shrink the live prefix: log images are
+// zero-trimmed and in-place writes cover only the live bytes, and a stale
+// tail left by either shows up as a mismatch too.
 func tortureFill(buf []byte, key, seq uint64) {
 	binary.LittleEndian.PutUint64(buf[:8], seq)
 	x := key*0x9E3779B97F4A7C15 ^ seq*0xBF58476D1CE4E5B9 | 1
-	for i := 8; i < len(buf); i++ {
+	live := 8 + int((x>>7)%uint64(len(buf)-7))
+	for i := 8; i < live; i++ {
 		x ^= x << 13
 		x ^= x >> 7
 		x ^= x << 17
 		buf[i] = byte(x)
 	}
+	clear(buf[live:])
 }
 
 // DegradedOpts configures the two-tier degradation run.

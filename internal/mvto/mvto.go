@@ -112,10 +112,13 @@ func (m *Manager) metaFor(rid uint64) *tupleMeta {
 
 // Read performs a visibility-checked read of tuple rid. pageWTS must read
 // the tuple's in-place write timestamp; serve must perform the read —
-// from the page when historyData is nil, from historyData otherwise. Both
+// from the page when historyData is nil, from historyData (a non-nil,
+// possibly empty, before-image as Write received it) otherwise. Both
 // callbacks run under the tuple latch, so the page cannot change between
-// the visibility decision and the read.
-func (m *Manager) Read(txn *Txn, rid uint64, pageWTS func() uint64, serve func(historyData []byte) error) error {
+// the visibility decision and the read (pageWTS may capture the whole
+// in-place version for serve to reuse). A pageWTS error fails the read:
+// an unknown write timestamp decides nothing about visibility.
+func (m *Manager) Read(txn *Txn, rid uint64, pageWTS func() (uint64, error), serve func(historyData []byte) error) error {
 	e := m.metaFor(rid)
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -124,7 +127,10 @@ func (m *Manager) Read(txn *Txn, rid uint64, pageWTS func() uint64, serve func(h
 		m.aborts.Add(1)
 		return fmt.Errorf("%w: tuple %d has in-flight older writer", ErrConflict, rid)
 	}
-	wts := pageWTS()
+	wts, err := pageWTS()
+	if err != nil {
+		return err
+	}
 	if wts <= txn.TS {
 		// In-place version visible. (A registered younger writer cannot
 		// have applied yet, or wts would exceed txn.TS.)
@@ -146,12 +152,12 @@ func (m *Manager) Read(txn *Txn, rid uint64, pageWTS func() uint64, serve func(h
 	return fmt.Errorf("%w: no version of tuple %d visible at ts %d", ErrConflict, rid, txn.TS)
 }
 
-// Write performs a visibility-checked in-place update of tuple rid. apply
-// runs under the tuple latch and must: capture the tuple's before-image,
-// write the new data (with txn.TS as the new in-place write timestamp),
-// and return the before-image. The before-image is parked in the version
-// store the first time txn writes rid.
-func (m *Manager) Write(txn *Txn, rid uint64, pageWTS func() uint64, apply func() (before []byte, err error)) error {
+// Write performs a visibility-checked in-place update of tuple rid. pageWTS
+// and apply run under the tuple latch; apply must write the new data (with
+// txn.TS as the new in-place write timestamp) and return the before-image,
+// which is copied into the version store the first time txn writes rid. A
+// pageWTS error fails the write before apply runs.
+func (m *Manager) Write(txn *Txn, rid uint64, pageWTS func() (uint64, error), apply func() (before []byte, err error)) error {
 	e := m.metaFor(rid)
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -164,7 +170,10 @@ func (m *Manager) Write(txn *Txn, rid uint64, pageWTS func() uint64, apply func(
 		m.aborts.Add(1)
 		return fmt.Errorf("%w: tuple %d read at ts %d > %d", ErrConflict, rid, e.readTS, txn.TS)
 	}
-	wts := pageWTS()
+	wts, err := pageWTS()
+	if err != nil {
+		return err
+	}
 	if wts > txn.TS {
 		m.aborts.Add(1)
 		return fmt.Errorf("%w: tuple %d written at ts %d > %d", ErrConflict, rid, wts, txn.TS)
@@ -178,7 +187,10 @@ func (m *Manager) Write(txn *Txn, rid uint64, pageWTS func() uint64, apply func(
 	if !txn.written[rid] {
 		txn.written[rid] = true
 		txn.writes = append(txn.writes, rid)
-		img := append([]byte(nil), before...)
+		// Never nil, even when empty: serve tells a history version from
+		// the in-place one by a nil argument.
+		img := make([]byte, len(before))
+		copy(img, before)
 		e.history = &version{wts: wts, data: img, prev: e.history}
 	}
 	return nil

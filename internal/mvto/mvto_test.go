@@ -13,7 +13,7 @@ type pageSim struct {
 	data []byte
 }
 
-func (p *pageSim) readWTS() uint64 { return p.wts }
+func (p *pageSim) readWTS() (uint64, error) { return p.wts, nil }
 
 func (p *pageSim) write(txn *Txn, newData []byte) func() ([]byte, error) {
 	return func() ([]byte, error) {
@@ -294,4 +294,34 @@ func TestConcurrentSameTupleSerializes(t *testing.T) {
 		t.Fatalf("applies %d != commits %d", a, commits)
 	}
 	t.Logf("commits=%d aborts=%d", commits, aborts)
+}
+
+// TestPageWTSErrorDecidesNothing: when the in-place write timestamp cannot
+// be read, Read and Write fail with that error without serving, applying,
+// recording a read timestamp or registering a writer.
+func TestPageWTSErrorDecidesNothing(t *testing.T) {
+	m := NewManager()
+	p := &pageSim{data: []byte("v0")}
+	fault := errors.New("read fault")
+	failWTS := func() (uint64, error) { return 0, fault }
+	older := m.Begin()
+	younger := m.Begin()
+	if err := m.Read(younger, 1, failWTS, func([]byte) error {
+		t.Fatal("served after a failed timestamp read")
+		return nil
+	}); !errors.Is(err, fault) {
+		t.Fatalf("read error = %v, want %v", err, fault)
+	}
+	if err := m.Write(younger, 1, failWTS, func() ([]byte, error) {
+		t.Fatal("applied after a failed timestamp read")
+		return nil, nil
+	}); !errors.Is(err, fault) {
+		t.Fatalf("write error = %v, want %v", err, fault)
+	}
+	// No read timestamp from younger, no writer registration: older writes.
+	if err := m.Write(older, 1, p.readWTS, p.write(older, []byte("v1"))); err != nil {
+		t.Fatalf("older write after failed younger access: %v", err)
+	}
+	m.Commit(older)
+	m.Commit(younger)
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -204,6 +205,56 @@ func TestKVEndpoints(t *testing.T) {
 	code, body, _ = doReq(t, "GET", ts.URL+"/readyz", nil)
 	if code != 200 || !strings.Contains(body, `"ready":true`) {
 		t.Fatalf("readyz = %d %q", code, body)
+	}
+}
+
+// TestTxnDeleteThenPutSameKey: /kv/txn batches that delete a key and put it
+// again in one transaction commit the last write, and the batch's own reads
+// see it.
+func TestTxnDeleteThenPutSameKey(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	if code, _, _ := doReq(t, "PUT", ts.URL+"/kv/put?key=5", []byte("old")); code != 204 {
+		t.Fatalf("put status = %d", code)
+	}
+	put := func(key int, v string) string {
+		return fmt.Sprintf(`{"op":"put","key":%d,"value":"%s"}`, key, base64.StdEncoding.EncodeToString([]byte(v)))
+	}
+	batches := []struct {
+		ops     string
+		key     int
+		lastGet string // value the batch's last op (a get) must return
+		want    string // value afterwards; "" means the key is gone
+	}{
+		{`{"op":"delete","key":5},` + put(5, "new") + `,{"op":"get","key":5}`, 5, "new", "new"},
+		{put(6, "a") + `,{"op":"delete","key":6},` + put(6, "b") + `,{"op":"get","key":6}`, 6, "b", "b"},
+		{`{"op":"delete","key":5},` + put(5, "x") + `,{"op":"delete","key":5},{"op":"get","key":5}`, 5, "", ""},
+	}
+	for i, b := range batches {
+		code, body, _ := doReq(t, "POST", ts.URL+"/kv/txn", []byte(`{"ops":[`+b.ops+`]}`))
+		if code != 200 {
+			t.Fatalf("batch %d: status = %d (%s)", i, code, body)
+		}
+		var res struct {
+			Results []struct {
+				Found bool   `json:"found"`
+				Value []byte `json:"value"`
+			} `json:"results"`
+		}
+		if err := json.Unmarshal([]byte(body), &res); err != nil {
+			t.Fatalf("batch %d: response not JSON: %v", i, err)
+		}
+		last := res.Results[len(res.Results)-1]
+		if last.Found != (b.lastGet != "") || string(last.Value) != b.lastGet {
+			t.Fatalf("batch %d: in-batch get = %v %q, want %q", i, last.Found, last.Value, b.lastGet)
+		}
+		code, body, _ = doReq(t, "GET", fmt.Sprintf("%s/kv/get?key=%d", ts.URL, b.key), nil)
+		if b.want == "" {
+			if code != 404 {
+				t.Fatalf("batch %d: get key %d = %d %q, want 404", i, b.key, code, body)
+			}
+		} else if code != 200 || body != b.want {
+			t.Fatalf("batch %d: get key %d = %d %q, want %q", i, b.key, code, body, b.want)
+		}
 	}
 }
 

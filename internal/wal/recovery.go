@@ -50,7 +50,7 @@ type RecoveredLog struct {
 	Records   []Record
 	Committed map[uint64]bool // txn id -> reached a commit record
 	Aborted   map[uint64]bool
-	Losers    map[uint64]bool // began but neither committed nor aborted
+	Losers    map[uint64]bool // logged records but neither committed nor aborted
 	MaxLSN    uint64
 	Stats     RecoveryStats
 }
@@ -154,7 +154,8 @@ func le64(b []byte) uint64 {
 //
 //  1. complete the log: records still in the (persistent) NVM buffer's
 //     shard regions are appended to the SSD log file;
-//  2. analysis: classify transactions into winners and losers;
+//  2. analysis: classify transactions into winners and losers (a loser has
+//     a BEGIN or data record and no COMMIT or ABORT);
 //  3. redo: repeat history for all records in LSN order;
 //  4. undo: roll back losers' updates in reverse LSN order.
 //
@@ -226,8 +227,12 @@ func Recover(c *vclock.Clock, opt Options, app Applier) (*Manager, *RecoveredLog
 			rl.MaxLSN = rec.LSN
 		}
 		switch rec.Type {
-		case RecBegin:
-			rl.Losers[rec.TxnID] = true
+		case RecBegin, RecUpdate, RecInsert, RecDelete:
+			// Transactions log no BEGIN record: their first data record
+			// (PrevLSN 0) opens them. Older logs still carry BEGIN.
+			if !rl.Committed[rec.TxnID] && !rl.Aborted[rec.TxnID] {
+				rl.Losers[rec.TxnID] = true
+			}
 		case RecCommit:
 			rl.Committed[rec.TxnID] = true
 			delete(rl.Losers, rec.TxnID)

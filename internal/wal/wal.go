@@ -47,6 +47,8 @@ import (
 type RecordType uint8
 
 const (
+	// RecBegin is accepted by recovery but not written: a transaction's
+	// first data record (PrevLSN 0) opens it.
 	RecBegin RecordType = iota + 1
 	RecUpdate
 	RecInsert
@@ -208,9 +210,10 @@ type Options struct {
 	// single-buffer layout; values above MaxShards are clamped. Recovery
 	// must be given the same shard count the buffer was written with.
 	Shards int
-	// FlushThreshold triggers an asynchronous append of a shard's contents
-	// to the SSD log once the shard holds this many bytes. Defaults to half
-	// the shard region.
+	// FlushThreshold makes the appender that fills a shard to this many
+	// bytes append the shard's contents to the SSD log (a group-commit
+	// flush, paid on that appender's clock). Defaults to half the shard
+	// region.
 	FlushThreshold int64
 
 	// MaxRetries bounds how many times a faulting buffer write or log

@@ -234,6 +234,63 @@ func TestRecoverRedoesCommittedAndUndoesLosers(t *testing.T) {
 	}
 }
 
+// TestRecoverLosersWithoutBegin: transactions log no BEGIN record, so a
+// loser may have only data records; analysis must still find it. A legacy
+// log whose transactions open with BEGIN records recovers to the same
+// pages and the same winners and losers.
+func TestRecoverLosersWithoutBegin(t *testing.T) {
+	body := []*Record{
+		{TxnID: 1, Type: RecUpdate, PageID: 10, Slot: 1, Before: []byte("A0"), After: []byte("A1")},
+		{TxnID: 2, Type: RecUpdate, PageID: 10, Slot: 2, Before: []byte("B0"), After: []byte("B1")},
+		{TxnID: 1, Type: RecCommit},
+		{TxnID: 2, Type: RecInsert, PageID: 11, Slot: 0, After: []byte("C1")},
+		{TxnID: 3, Type: RecDelete, PageID: 11, Slot: 1, Before: []byte("D0"), After: []byte("D1")},
+		{TxnID: 3, Type: RecAbort},
+	}
+	recoverLog := func(legacy bool) (map[uint64][]byte, *RecoveredLog) {
+		pm := pmem.New(pmem.Options{Size: 1 << 16, TrackCrashes: true})
+		store := NewMemLog(nil)
+		m, err := New(Options{Buffer: pm, Store: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := vclock.New()
+		begun := map[uint64]bool{}
+		for _, r := range body {
+			if legacy && !begun[r.TxnID] {
+				begun[r.TxnID] = true
+				if _, err := m.Append(c, &Record{TxnID: r.TxnID, Type: RecBegin}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rec := *r
+			if _, err := m.Append(c, &rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pm.Crash()
+		app := newApplierMap()
+		app.vals[11<<16|1] = []byte("D0") // txn 3's rollback happened in place
+		_, rl, err := Recover(c, Options{Buffer: pm, Store: store}, app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return app.vals, rl
+	}
+	for _, legacy := range []bool{false, true} {
+		vals, rl := recoverLog(legacy)
+		if !rl.Committed[1] || !rl.Aborted[3] || len(rl.Losers) != 1 || !rl.Losers[2] {
+			t.Fatalf("legacy=%v: committed %v aborted %v losers %v", legacy, rl.Committed, rl.Aborted, rl.Losers)
+		}
+		want := map[uint64]string{10<<16 | 1: "A1", 10<<16 | 2: "B0", 11<<16 | 0: "", 11<<16 | 1: "D0"}
+		for k, w := range want {
+			if string(vals[k]) != w {
+				t.Fatalf("legacy=%v: slot %x = %q, want %q", legacy, k, vals[k], w)
+			}
+		}
+	}
+}
+
 func TestRecoverSkipsRolledBackTransactions(t *testing.T) {
 	pm := pmem.New(pmem.Options{Size: 1 << 16, TrackCrashes: true})
 	store := NewMemLog(nil)
