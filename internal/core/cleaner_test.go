@@ -357,27 +357,33 @@ func TestForegroundBatchStealSaturated(t *testing.T) {
 	bm.Close() // wedge the cleaner: all reclamation now happens inline
 	seed(t, bm, 64)
 
+	// Per-page locks stand in for the engine's record-level concurrency
+	// control, as in the tests above: writers of one page must not race on
+	// its bytes.
+	pageLocks := make([]sync.Mutex, 64)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			ctx := NewCtx(uint64(w) + 77)
-			for i := 0; i < 300; i++ {
-				pid := uint64((w*131 + i*17) % 64)
+			write := func(pid uint64) error {
+				pageLocks[pid].Lock()
+				defer pageLocks[pid].Unlock()
 				h, err := bm.FetchPage(ctx, pid, WriteIntent)
 				if err != nil {
-					t.Error(err)
-					return
+					return err
 				}
+				defer h.Release()
 				var b [8]byte
 				binary.LittleEndian.PutUint64(b[:], pid)
-				if err := h.WriteAt(ctx, 0, b[:]); err != nil {
-					h.Release()
+				return h.WriteAt(ctx, 0, b[:])
+			}
+			for i := 0; i < 300; i++ {
+				if err := write(uint64((w*131 + i*17) % 64)); err != nil {
 					t.Error(err)
 					return
 				}
-				h.Release()
 			}
 		}(w)
 	}

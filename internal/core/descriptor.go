@@ -13,14 +13,9 @@ const noFrame = int32(-1)
 // the page live and carries one latch per storage tier for thread-safe
 // migration.
 //
-// Locking rules (see DESIGN.md):
-//
-//  1. Tier latches of one descriptor are acquired in the fixed order
-//     latchD → latchN → latchS (skipping is allowed, reordering is not).
-//  2. mu is a leaf lock: no I/O and no other lock acquisition under it.
-//     The frame-slot fields are read and written only under mu.
-//  3. A thread holding latches of one descriptor may touch a *second*
-//     descriptor (the eviction victim's) only via TryLock.
+// Its latches are ranked and ordered by the rules in
+// internal/lockcheck/rules.go; the frame-slot fields are read and written
+// only under mu.
 type descriptor struct {
 	pid PageID
 

@@ -6,10 +6,7 @@ import "github.com/spitfire-db/spitfire/internal/lockcheck"
 // through these so the -tags lockcheck runtime checker (internal/lockcheck)
 // sees the full acquisition order. Without the tag the lockcheck calls are
 // inlined no-ops and the shims compile down to the bare mutex operations.
-//
-// The discipline they witness is the one documented on descriptor:
-// latchD → latchN → latchS on one descriptor (skipping allowed), mu a
-// strict leaf, and second descriptors only via TryLock.
+// The rules they are checked against are in internal/lockcheck/rules.go.
 
 func (d *descriptor) lockMu() {
 	lockcheck.Acquire(d, lockcheck.RankMu)
@@ -57,10 +54,8 @@ func (d *descriptor) unlockN() {
 	lockcheck.Release(d, lockcheck.RankN)
 }
 
-// lock acquires a frame group's mutex. fg.mu guards the residency/dirty
-// bitmaps and mini-page slot directory; the only latch that may be taken
-// while it is held is descriptor.mu (the fine-grained load path pins the
-// NVM backing under fg.mu, safe because mu is a strict leaf).
+// lock acquires a frame group's mutex, which guards the residency/dirty
+// bitmaps and mini-page slot directory.
 func (fg *fgState) lock() {
 	lockcheck.Acquire(fg, lockcheck.RankFg)
 	fg.mu.Lock()

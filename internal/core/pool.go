@@ -143,14 +143,12 @@ type basePool struct {
 	// steals counts free-list pops served by a non-home shard.
 	steals atomic.Uint64
 
-	// affinity pins each worker clock to a shard; rr deals shards
-	// round-robin to clocks seen for the first time.
-	affinity sync.Map // *vclock.Clock -> int
-	rr       atomic.Uint64
+	// affinity pins each worker clock to a home shard.
+	affinity vclock.Affinity
 }
 
 // init populates a freshly allocated (embedded) basePool in place — the
-// struct holds atomics and a sync.Map, so it must never be copied.
+// struct holds atomics and a vclock.Affinity, so it must never be copied.
 func (p *basePool) init(nFrames, clockWeight, shards int) {
 	shards = normalizePoolShards(shards, nFrames)
 	ranges := bitmapclock.Ranges(nFrames, shards)
@@ -190,15 +188,7 @@ func (p *basePool) shardOf(f int32) *poolShard {
 // round-robin on first use and stay pinned, so a worker's allocations,
 // releases and CLOCK sweeps concentrate on one shard's cache lines.
 func (p *basePool) shardIndexFor(ctx *Ctx) int {
-	if len(p.shards) == 1 {
-		return 0
-	}
-	if v, ok := p.affinity.Load(ctx.Clock); ok {
-		return v.(int)
-	}
-	i := int((p.rr.Add(1) - 1) % uint64(len(p.shards)))
-	v, _ := p.affinity.LoadOrStore(ctx.Clock, i)
-	return v.(int)
+	return p.affinity.Shard(ctx.Clock, len(p.shards))
 }
 
 // lockShard and unlockShard route the shard free-list mutex through the

@@ -163,13 +163,11 @@ func (t *Txn) log(ctx *core.Ctx, rec *wal.Record) error {
 	rec.TxnID = t.inner.TS
 	rec.PrevLSN = t.lastLSN
 	lsn, err := t.db.wal.Append(ctx.Clock, rec)
-	if lsn != 0 {
-		// Append can persist the record and then fail its threshold
-		// flush. The record is in the log either way, so the next record
-		// and the ABORT or COMMIT must follow it.
-		t.lastLSN = lsn
+	if err != nil {
+		return err
 	}
-	return err
+	t.lastLSN = lsn
+	return nil
 }
 
 // Commit makes the transaction durable: its commit record is persisted in
@@ -195,7 +193,10 @@ func (t *Txn) Commit(ctx *core.Ctx) error {
 }
 
 // Abort rolls the transaction back: every written slot is restored from its
-// parked (zero-trimmed) before-image and index insertions are removed.
+// parked (zero-trimmed) before-image and index insertions are removed. Once
+// the rollback is done the transaction ends, even if its ABORT record
+// cannot be logged: recovery then undoes it as a loser, and redo repeats
+// the rollback of an ABORT it finds (wal.Recover).
 func (t *Txn) Abort(ctx *core.Ctx) error {
 	undos := t.db.tm.AbortStart(t.inner)
 	for i := len(undos) - 1; i >= 0; i-- {
@@ -222,13 +223,12 @@ func (t *Txn) Abort(ctx *core.Ctx) error {
 	for i := len(t.secUndos) - 1; i >= 0; i-- {
 		t.secUndos[i]()
 	}
+	var err error
 	if t.lastLSN != 0 {
-		if err := t.log(ctx, &wal.Record{Type: wal.RecAbort}); err != nil {
-			return err
-		}
+		err = t.log(ctx, &wal.Record{Type: wal.RecAbort})
 	}
 	t.db.tm.AbortFinish(t.inner)
-	return nil
+	return err
 }
 
 // Checkpoint implements the paper's log-truncation protocol (§5.2): flush

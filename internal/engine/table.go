@@ -198,11 +198,11 @@ func (tb *Table) Read(ctx *core.Ctx, txn *Txn, key uint64, buf []byte) error {
 	if !ok {
 		return fmt.Errorf("%w: %s key %d", ErrNotFound, tb.name, key)
 	}
-	return tb.ReadRID(ctx, txn, rid, buf)
+	return tb.readRID(ctx, txn, rid, buf)
 }
 
-// ReadRID reads the tuple at rid.
-func (tb *Table) ReadRID(ctx *core.Ctx, txn *Txn, rid RID, buf []byte) error {
+// readRID reads the tuple at rid.
+func (tb *Table) readRID(ctx *core.Ctx, txn *Txn, rid RID, buf []byte) error {
 	if len(buf) != tb.tupleSize {
 		return fmt.Errorf("engine: %s: read buffer is %d bytes, want %d", tb.name, len(buf), tb.tupleSize)
 	}
@@ -313,7 +313,7 @@ func (tb *Table) writeRID(ctx *core.Ctx, txn *Txn, rid RID, key uint64, payload 
 }
 
 // ScanKeys visits index entries with key >= from in ascending order until
-// fn returns false. Tuples are read separately via ReadRID under the
+// fn returns false. Tuples are read separately via readRID under the
 // caller's transaction.
 func (tb *Table) ScanKeys(from uint64, fn func(key uint64, rid RID) bool) {
 	tb.index.Scan(from, fn)
@@ -327,7 +327,7 @@ func (tb *Table) Scan(ctx *core.Ctx, txn *Txn, from uint64, fn func(key uint64, 
 	buf := make([]byte, tb.tupleSize)
 	var scanErr error
 	tb.index.Scan(from, func(key uint64, rid RID) bool {
-		err := tb.ReadRID(ctx, txn, rid, buf)
+		err := tb.readRID(ctx, txn, rid, buf)
 		if err != nil {
 			if errors.Is(err, ErrNotFound) {
 				return true // invisible to this snapshot; keep going

@@ -354,11 +354,10 @@ func TestRecoverDataOnlyLoser(t *testing.T) {
 	}
 }
 
-// TestRecoverFailedFirstAppend: Append can persist a record and then fail
-// its threshold flush. When that happens to a transaction's first record,
-// the in-place write is skipped and the transaction aborts; the abort must
-// still be logged, or recovery would take the transaction for a loser and
-// undo its before-image over a later committed write of the same slot.
+// TestRecoverFailedFirstAppend: a transaction's first record is persisted
+// and then its threshold flush fails. The record is in the log, so the
+// append succeeds; the transaction then aborts, and recovery must roll it
+// back where its ABORT sits, not over a later committed write of the slot.
 func TestRecoverFailedFirstAppend(t *testing.T) {
 	logDev := device.New(device.SSDParams)
 	logInj := device.NewInjector(device.FaultConfig{Seed: 0x3F1})
@@ -371,8 +370,8 @@ func TestRecoverFailedFirstAppend(t *testing.T) {
 
 	logInj.Rearm(device.FaultConfig{Seed: 0x3F2, WriteErrProb: 1})
 	failed := r.db.Begin()
-	if err := tb.Update(ctx, failed, 3, payloadFor(3, 9)); !errors.Is(err, device.ErrTransient) {
-		t.Fatalf("update with the log store faulting: %v, want device.ErrTransient", err)
+	if err := tb.Update(ctx, failed, 3, payloadFor(3, 9)); err != nil {
+		t.Fatalf("update whose record is in the log, with the log store faulting: %v", err)
 	}
 	logInj.Rearm(device.FaultConfig{Seed: 0x3F2})
 	if err := failed.Abort(ctx); err != nil {
@@ -392,6 +391,116 @@ func TestRecoverFailedFirstAppend(t *testing.T) {
 	}
 	if got, _ := readKey(t, db, db.Table(1), NewRecoveryCtx(), 3); got[9] != 5 {
 		t.Fatalf("key 3 recovered at version %d, want the committed 5", got[9])
+	}
+}
+
+// TestCommitDurableDespiteFailedFlush: a COMMIT record that is persisted
+// in the log buffer commits the transaction, even when the threshold flush
+// it triggers fails.
+func TestCommitDurableDespiteFailedFlush(t *testing.T) {
+	logDev := device.New(device.SSDParams)
+	logInj := device.NewInjector(device.FaultConfig{Seed: 0x3F3})
+	logDev.SetFaults(logInj)
+	r := newCrashRigLog(t, policy.SpitfireLazy, logDev, 1, kvDef)
+	tb := r.db.Table(1)
+	ctx := newCtx(61)
+	tb.Load(ctx, 8, func(i uint64, p []byte) uint64 { copy(p, payloadFor(i, 1)); return i })
+
+	txn := r.db.Begin()
+	if err := tb.Update(ctx, txn, 2, payloadFor(2, 9)); err != nil {
+		t.Fatal(err)
+	}
+	logInj.Rearm(device.FaultConfig{Seed: 0x3F4, WriteErrProb: 1})
+	if err := txn.Commit(ctx); err != nil {
+		t.Fatalf("commit whose COMMIT record is in the log: %v", err)
+	}
+	logInj.Rearm(device.FaultConfig{Seed: 0x3F4})
+	if got, _ := readKey(t, r.db, tb, ctx, 2); got[9] != 9 {
+		t.Fatalf("key 2 at version %d after commit, want 9", got[9])
+	}
+
+	db, rl := r.crash(t)
+	if !rl.Committed[txn.TS()] {
+		t.Fatalf("txn %d not committed in the recovered log", txn.TS())
+	}
+	if got, _ := readKey(t, db, db.Table(1), NewRecoveryCtx(), 2); got[9] != 9 {
+		t.Fatalf("key 2 recovered at version %d, want the committed 9", got[9])
+	}
+}
+
+// TestAbortEndsWhenAbortRecordFails: the rollback is complete before the
+// ABORT record is appended, so a failed append still ends the transaction
+// and frees its slots. Recovery undoes it as a loser, but not over the
+// later committed write of the same slot.
+func TestAbortEndsWhenAbortRecordFails(t *testing.T) {
+	r := newCrashRig(t, policy.SpitfireLazy, kvDef)
+	tb := r.db.Table(1)
+	ctx := newCtx(62)
+	tb.Load(ctx, 8, func(i uint64, p []byte) uint64 { copy(p, payloadFor(i, 1)); return i })
+
+	aborted := r.db.Begin()
+	if err := tb.Update(ctx, aborted, 3, payloadFor(3, 9)); err != nil {
+		t.Fatal(err)
+	}
+	logInj := device.NewInjector(device.FaultConfig{Seed: 0x3F5, WriteErrProb: 1})
+	r.logBuf.Device().SetFaults(logInj)
+	if err := aborted.Abort(ctx); !errors.Is(err, device.ErrTransient) {
+		t.Fatalf("abort with the log buffer faulting: %v, want device.ErrTransient", err)
+	}
+	logInj.Rearm(device.FaultConfig{Seed: 0x3F5})
+
+	won := r.db.Begin()
+	if err := tb.Update(ctx, won, 3, payloadFor(3, 5)); err != nil {
+		t.Fatalf("update of a slot the ended transaction wrote: %v", err)
+	}
+	if err := won.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	db, rl := r.crash(t)
+	if !rl.Losers[aborted.TS()] {
+		t.Fatalf("losers = %v, want txn %d (its ABORT never reached the log)", rl.Losers, aborted.TS())
+	}
+	if got, _ := readKey(t, db, db.Table(1), NewRecoveryCtx(), 3); got[9] != 5 {
+		t.Fatalf("key 3 recovered at version %d, want the committed 5", got[9])
+	}
+	// The ABORT recovery logged for the loser must keep the same outcome.
+	db, _ = r.crash(t)
+	if got, _ := readKey(t, db, db.Table(1), NewRecoveryCtx(), 3); got[9] != 5 {
+		t.Fatalf("key 3 at version %d after a second recovery, want 5", got[9])
+	}
+}
+
+// TestRecoverRepeatsAbortRollback: an aborted write whose page copy reached
+// durable media before the abort must not survive a crash that loses the
+// rollback (made in DRAM only).
+func TestRecoverRepeatsAbortRollback(t *testing.T) {
+	// Eager migration keeps the page in DRAM, so the rollback lands there.
+	r := newCrashRig(t, policy.SpitfireEager, kvDef)
+	tb := r.db.Table(1)
+	ctx := newCtx(63)
+	tb.Load(ctx, 8, func(i uint64, p []byte) uint64 { copy(p, payloadFor(i, 1)); return i })
+	if _, err := r.db.bm.FlushDirtyDRAM(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	txn := r.db.Begin()
+	if err := tb.Update(ctx, txn, 4, payloadFor(4, 9)); err != nil {
+		t.Fatal(err)
+	}
+	if skipped, err := r.db.bm.FlushDirtyDRAM(ctx); err != nil || skipped != 0 {
+		t.Fatalf("write-back of the dirty page: skipped %d, %v", skipped, err)
+	}
+	if err := txn.Abort(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	db, rl := r.crash(t)
+	if !rl.Aborted[txn.TS()] {
+		t.Fatalf("txn %d not aborted in the recovered log", txn.TS())
+	}
+	if got, _ := readKey(t, db, db.Table(1), NewRecoveryCtx(), 4); got[9] != 1 {
+		t.Fatalf("key 4 recovered at version %d, want the pre-write 1", got[9])
 	}
 }
 

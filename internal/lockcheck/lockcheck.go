@@ -1,37 +1,16 @@
 //go:build lockcheck
 
-// Package lockcheck is a build-tag-gated runtime checker for the descriptor
-// latch discipline (DESIGN.md §5-quinquies). Compiled with -tags lockcheck,
-// every latch acquisition routed through internal/core's shims is recorded
-// in a per-goroutine shadow stack; an acquisition that violates the
+// Package lockcheck is a build-tag-gated runtime checker for the latch
+// discipline (DESIGN.md §5-quinquies). Compiled with -tags lockcheck, every
+// latch acquisition routed through a shim (internal/core, internal/wal) is
+// recorded in a per-goroutine shadow stack; an acquisition that violates the
 // discipline panics immediately with both the current stack and the stack
 // recorded when the conflicting latch was taken — turning a
 // would-be-deadlock (observable only as a hung test) into a deterministic
 // failure with two readable stacks. Without the tag the package is the
 // empty stub in stub.go and the shims cost one inlined empty call.
 //
-// The rules enforced mirror the static latchorder analyzer in internal/vet:
-//
-//  1. Tier latches of one descriptor in rank order RankD < RankN < RankS;
-//     skipping ranks is fine, acquiring a rank ≤ one already held on the
-//     same descriptor is not.
-//  2. RankMu is a leaf: nothing may be acquired while any mu is held.
-//  3. Blocking acquisition (Acquire) of a tier latch is illegal while a
-//     tier latch of a different descriptor is held; TryLock acquisitions
-//     (Acquired) of second descriptors are the sanctioned escape hatch.
-//  4. RankFg (a frame group's fg.mu) may be taken under tier latches; the
-//     only acquisition allowed while it is held is RankMu (the fine-grained
-//     load path pins the NVM backing descriptor under fg.mu).
-//  5. RankWALShard (a WAL shard's append mutex) is a leaf on the append
-//     path. The one exception is the combining flusher, which drains every
-//     shard while holding RankWALFlush: shard→shard acquisitions are legal
-//     only under flushMu (where the flusher takes them in index order).
-//  6. Under RankWALFlush only RankWALShard may be acquired.
-//  7. RankBMShard (a buffer-pool shard's free-list mutex) is a strict leaf:
-//     it may be taken under tier latches (allocation runs under latchD or
-//     latchN) but nothing — not even another pool shard — may be acquired
-//     while it is held. Work-stealing therefore drops one shard's mutex
-//     before probing the next.
+// The rules it enforces are stated once, in rules.go.
 package lockcheck
 
 import (
@@ -42,49 +21,13 @@ import (
 	"sync"
 )
 
-// Latch ranks, low acquired first. RankMu is a strict leaf; RankFg admits
-// only RankMu under it; the WAL ranks form their own two-level order
-// (flushMu → shard mu).
-const (
-	RankD        = 1
-	RankN        = 2
-	RankS        = 3
-	RankMu       = 4
-	RankFg       = 5
-	RankWALShard = 6
-	RankWALFlush = 7
-	RankBMShard  = 8
-)
-
 // Enabled reports whether the checker is compiled in.
 const Enabled = true
-
-func rankName(r int) string {
-	switch r {
-	case RankD:
-		return "latchD"
-	case RankN:
-		return "latchN"
-	case RankS:
-		return "latchS"
-	case RankMu:
-		return "mu"
-	case RankFg:
-		return "fg.mu"
-	case RankWALShard:
-		return "wal.shard"
-	case RankWALFlush:
-		return "wal.flushMu"
-	case RankBMShard:
-		return "pool.shard"
-	}
-	return "rank?"
-}
 
 // held is one latch on a goroutine's shadow stack.
 type held struct {
 	obj  any
-	rank int
+	rank Rank
 	pcs  [16]uintptr
 	npc  int
 }
@@ -125,18 +68,18 @@ func gid() uint64 {
 // Acquire records an imminent *blocking* Lock of (obj, rank), panicking if
 // the acquisition violates the discipline. Call immediately before
 // mutex.Lock so the panic fires instead of the deadlock.
-func Acquire(obj any, rank int) { check(obj, rank, true) }
+func Acquire(obj any, rank Rank) { check(obj, rank, true) }
 
 // Acquired records a successful TryLock of (obj, rank). Cross-descriptor
 // TryLocks are legal; same-descriptor order violations and
 // anything-under-mu still panic.
-func Acquired(obj any, rank int) { check(obj, rank, false) }
+func Acquired(obj any, rank Rank) { check(obj, rank, false) }
 
 // Release pops (obj, rank) from the goroutine's shadow stack. Releasing a
 // latch that was never recorded is ignored: a latch may legitimately be
 // unlocked on a different goroutine than locked it (mutex handoff), and the
 // checker only reasons about per-goroutine ordering.
-func Release(obj any, rank int) {
+func Release(obj any, rank Rank) {
 	g := gid()
 	s := shardFor(g)
 	defer s.mu.Unlock()
@@ -155,7 +98,7 @@ func Release(obj any, rank int) {
 	}
 }
 
-func check(obj any, rank int, blocking bool) {
+func check(obj any, rank Rank, blocking bool) {
 	g := gid()
 	s := shardFor(g)
 	defer s.mu.Unlock()
@@ -168,40 +111,8 @@ func check(obj any, rank int, blocking bool) {
 	}
 	for i := range stack {
 		h := &stack[i]
-		switch {
-		case h.rank == RankMu:
-			fail(h, "lockcheck: acquiring %s(%p) while mu(%p) is held — mu is a leaf lock, acquire nothing under it",
-				rankName(rank), obj, h.obj)
-		case h.rank == RankBMShard:
-			fail(h, "lockcheck: acquiring %s(%p) while pool.shard(%p) is held — a pool shard's free-list mutex is a strict leaf (steal by dropping one shard before probing the next)",
-				rankName(rank), obj, h.obj)
-		case h.rank == RankFg && rank == RankMu:
-			// descriptor.mu under fg.mu: the fine-grained load path pins the
-			// NVM backing (nvmBacking → mu) while holding the frame-group
-			// lock. Legal because mu is a strict leaf — nothing is ever
-			// acquired under it, so fg.mu → mu cannot cycle.
-		case h.rank == RankFg:
-			fail(h, "lockcheck: acquiring %s(%p) while fg.mu(%p) is held — only descriptor.mu may be taken under a frame-group lock",
-				rankName(rank), obj, h.obj)
-		case h.rank == RankWALShard && rank == RankWALShard && flushHeld:
-			// The combining flusher drains every shard in index order while
-			// holding flushMu; shard→shard is legal only in that context.
-		case h.rank == RankWALShard:
-			fail(h, "lockcheck: acquiring %s(%p) while wal.shard(%p) is held — a shard mutex is a leaf on the append path",
-				rankName(rank), obj, h.obj)
-		case h.rank == RankWALFlush && rank != RankWALShard:
-			fail(h, "lockcheck: acquiring %s(%p) while wal.flushMu(%p) is held — only shard mutexes may be taken under flushMu",
-				rankName(rank), obj, h.obj)
-		case h.rank == RankWALFlush:
-			// Shard mutex under flushMu: the combining flusher's order.
-		case h.obj == obj && rank == RankMu:
-			// mu under the same descriptor's tier latches: legal leaf use.
-		case h.obj == obj && h.rank >= rank:
-			fail(h, "lockcheck: acquiring %s(%p) while holding %s of the same descriptor — tier order is latchD → latchN → latchS",
-				rankName(rank), obj, rankName(h.rank))
-		case h.obj != obj && blocking && rank <= RankS && h.rank <= RankS:
-			fail(h, "lockcheck: blocking Lock of %s(%p) while holding %s(%p) of another descriptor — second descriptors only via TryLock",
-				rankName(rank), obj, rankName(h.rank), h.obj)
+		if msg := Violation(h.rank, h.obj == obj, rank, blocking, flushHeld); msg != "" {
+			fail(h, "lockcheck: acquiring %s(%p) while holding %s(%p) — %s", rank, obj, h.rank, h.obj, msg)
 		}
 	}
 	if blocking {
@@ -219,7 +130,7 @@ func fail(h *held, format string, args ...any) {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, format, args...)
 	b.WriteString("\n\nearlier acquisition of ")
-	b.WriteString(rankName(h.rank))
+	b.WriteString(h.rank.String())
 	b.WriteString(" at:\n")
 	frames := runtime.CallersFrames(h.pcs[:h.npc])
 	for {

@@ -1,32 +1,21 @@
 //go:build !lockcheck
 
 // Without -tags lockcheck the checker compiles to empty inlinable calls;
-// see lockcheck.go for the real implementation and the rules it enforces.
+// see lockcheck.go for the real implementation and rules.go for the rules
+// it enforces.
 package lockcheck
-
-// Latch ranks, mirrored from the checked build.
-const (
-	RankD        = 1
-	RankN        = 2
-	RankS        = 3
-	RankMu       = 4
-	RankFg       = 5
-	RankWALShard = 6
-	RankWALFlush = 7
-	RankBMShard  = 8
-)
 
 // Enabled reports whether the checker is compiled in.
 const Enabled = false
 
 // Acquire is a no-op without the lockcheck build tag.
-func Acquire(obj any, rank int) {}
+func Acquire(obj any, rank Rank) {}
 
 // Acquired is a no-op without the lockcheck build tag.
-func Acquired(obj any, rank int) {}
+func Acquired(obj any, rank Rank) {}
 
 // Release is a no-op without the lockcheck build tag.
-func Release(obj any, rank int) {}
+func Release(obj any, rank Rank) {}
 
 // EnableWaitGraph is a no-op without the lockcheck build tag.
 func EnableWaitGraph() {}

@@ -27,7 +27,7 @@ var wgraph struct {
 	// object but Release matches by (obj, rank) pairs.
 	holders map[any]map[uint64]int
 	// edges counts observed wait-for pairs: [heldRank, wantedRank] → n.
-	edges map[[2]int]int64
+	edges map[[2]Rank]int64
 }
 
 // EnableWaitGraph resets and starts wait-for recording. Call it before the
@@ -38,7 +38,7 @@ func EnableWaitGraph() {
 	defer wgraph.mu.Unlock()
 	wgraph.enabled = true
 	wgraph.holders = map[any]map[uint64]int{}
-	wgraph.edges = map[[2]int]int64{}
+	wgraph.edges = map[[2]Rank]int64{}
 }
 
 // DisableWaitGraph stops recording (the accumulated edges remain until the
@@ -86,7 +86,7 @@ func noteReleased(obj any, g uint64) {
 // noteWait records wait-for edges for goroutine g blocking on (obj, rank)
 // while holding the ranks in stack. Edges are only recorded when some
 // *other* goroutine currently holds obj — that is what makes it a wait.
-func noteWait(obj any, rank int, g uint64, stack []held) {
+func noteWait(obj any, rank Rank, g uint64, stack []held) {
 	wgraph.mu.Lock()
 	defer wgraph.mu.Unlock()
 	if !wgraph.enabled || len(stack) == 0 {
@@ -103,20 +103,20 @@ func noteWait(obj any, rank int, g uint64, stack []held) {
 		return
 	}
 	for i := range stack {
-		wgraph.edges[[2]int{stack[i].rank, rank}]++
+		wgraph.edges[[2]Rank{stack[i].rank, rank}]++
 	}
 }
 
 // recordWaitEdge injects a synthetic edge. Test hook: real workloads cannot
 // produce a rank cycle without panicking first, so the cycle detector is
 // exercised with synthetic adjacency.
-func recordWaitEdge(from, to int) {
+func recordWaitEdge(from, to Rank) {
 	wgraph.mu.Lock()
 	defer wgraph.mu.Unlock()
 	if wgraph.edges == nil {
-		wgraph.edges = map[[2]int]int64{}
+		wgraph.edges = map[[2]Rank]int64{}
 	}
-	wgraph.edges[[2]int{from, to}]++
+	wgraph.edges[[2]Rank{from, to}]++
 }
 
 // WaitGraphReport returns a deterministic summary of the recorded wait-for
@@ -127,7 +127,7 @@ func recordWaitEdge(from, to int) {
 func WaitGraphReport() []string {
 	wgraph.mu.Lock()
 	type edge struct {
-		from, to int
+		from, to Rank
 		n        int64
 	}
 	var edges []edge
@@ -143,17 +143,17 @@ func WaitGraphReport() []string {
 		return edges[i].to < edges[j].to
 	})
 	var out []string
-	adj := map[int][]int{}
+	adj := map[Rank][]Rank{}
 	for _, e := range edges {
-		out = append(out, fmt.Sprintf("wait: %s → %s (%d)", rankName(e.from), rankName(e.to), e.n))
+		out = append(out, fmt.Sprintf("wait: %s → %s (%d)", e.from, e.to, e.n))
 		adj[e.from] = append(adj[e.from], e.to)
 	}
 	for _, cyc := range rankCycles(adj) {
 		line := "CYCLE:"
 		for _, r := range cyc {
-			line += " " + rankName(r) + " →"
+			line += " " + r.String() + " →"
 		}
-		out = append(out, line+" "+rankName(cyc[0]))
+		out = append(out, line+" "+cyc[0].String())
 	}
 	return out
 }
@@ -161,22 +161,22 @@ func WaitGraphReport() []string {
 // rankCycles finds the elementary cycles of the (tiny) rank digraph by DFS
 // from every node, canonicalized to start at their smallest rank and
 // deduplicated. The graph has at most 8 nodes, so brute force is fine.
-func rankCycles(adj map[int][]int) [][]int {
-	var cycles [][]int
+func rankCycles(adj map[Rank][]Rank) [][]Rank {
+	var cycles [][]Rank
 	seen := map[string]bool{}
-	nodes := make([]int, 0, len(adj))
+	nodes := make([]Rank, 0, len(adj))
 	for n := range adj {
 		nodes = append(nodes, n)
 	}
-	sort.Ints(nodes)
-	var path []int
-	onPath := map[int]bool{}
-	var dfs func(n int)
-	dfs = func(n int) {
+	sortRanks(nodes)
+	var path []Rank
+	onPath := map[Rank]bool{}
+	var dfs func(n Rank)
+	dfs = func(n Rank) {
 		path = append(path, n)
 		onPath[n] = true
-		next := append([]int(nil), adj[n]...)
-		sort.Ints(next)
+		next := append([]Rank(nil), adj[n]...)
+		sortRanks(next)
 		for _, m := range next {
 			if onPath[m] {
 				// Cycle: the slice of path from m's position onward.
@@ -206,15 +206,17 @@ func rankCycles(adj map[int][]int) [][]int {
 }
 
 // canonicalCycle rotates a cycle to start at its smallest rank.
-func canonicalCycle(c []int) []int {
+func canonicalCycle(c []Rank) []Rank {
 	min := 0
 	for i := range c {
 		if c[i] < c[min] {
 			min = i
 		}
 	}
-	out := make([]int, 0, len(c))
+	out := make([]Rank, 0, len(c))
 	out = append(out, c[min:]...)
 	out = append(out, c[:min]...)
 	return out
 }
+
+func sortRanks(rs []Rank) { sort.Slice(rs, func(i, j int) bool { return rs[i] < rs[j] }) }

@@ -78,9 +78,6 @@ func New(opts Options) *Device {
 	return d
 }
 
-// DRAMDevice returns the underlying DRAM cost model.
-func (d *Device) DRAMDevice() *device.Device { return d.dram }
-
 // NVMDevice returns the underlying NVM cost model.
 func (d *Device) NVMDevice() *device.Device { return d.nvm }
 

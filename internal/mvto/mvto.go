@@ -269,9 +269,9 @@ func (m *Manager) AdvanceTS(ts uint64) {
 	}
 }
 
-// MinActiveTS returns the smallest timestamp among active transactions, or
+// minActiveTS returns the smallest timestamp among active transactions, or
 // the next timestamp if none are active.
-func (m *Manager) MinActiveTS() uint64 {
+func (m *Manager) minActiveTS() uint64 {
 	min := m.nextTS.Load()
 	m.active.Range(func(ts uint64, _ *Txn) bool {
 		if ts < min {
@@ -284,9 +284,9 @@ func (m *Manager) MinActiveTS() uint64 {
 
 // GC prunes version history no active (or future) transaction can see:
 // in each chain, everything older than the newest version with
-// wts < MinActiveTS is unreachable. Returns the number of versions dropped.
+// wts < minActiveTS is unreachable. Returns the number of versions dropped.
 func (m *Manager) GC() int {
-	minTS := m.MinActiveTS()
+	minTS := m.minActiveTS()
 	dropped := 0
 	m.meta.Range(func(_ uint64, e *tupleMeta) bool {
 		e.mu.Lock()

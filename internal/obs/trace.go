@@ -164,9 +164,6 @@ type Ring struct {
 // ID returns the ring's tracer id (the Chrome trace "tid").
 func (r *Ring) ID() int { return r.id }
 
-// Label returns the ring's human-readable worker label.
-func (r *Ring) Label() string { return r.label }
-
 // Emit records one event. Safe on a nil ring (no-op). Must only be called
 // from the ring's owning goroutine.
 func (r *Ring) Emit(ev Event) {

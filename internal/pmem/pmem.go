@@ -225,11 +225,6 @@ func (p *PMem) Persist(c *vclock.Clock, off int64, n int) {
 	p.mu.Unlock()
 }
 
-// PersistAll persists the entire arena (used when seeding test fixtures).
-func (p *PMem) PersistAll(c *vclock.Clock) {
-	p.Persist(c, 0, len(p.data))
-}
-
 // Crash simulates power failure: every cache line with unpersisted stores
 // reverts to its last persisted image. Callers must guarantee no concurrent
 // access (the machine is "off").

@@ -6,7 +6,7 @@ import (
 )
 
 // checkDroppedErr flags call sites that discard an error result from the
-// fault-injected layers (cfg.ErrPackages): a bare call statement, a
+// fault-injected layers (errPackages): a bare call statement, a
 // blank-assigned error, or a go/defer of an error-returning call. Those
 // errors carry the typed fault classification (device.ErrTransient & co.)
 // that PR 2's retry/degradation hardening depends on; dropping one silently
@@ -52,8 +52,8 @@ func checkDroppedErr(p *pass) {
 	}
 }
 
-// flagIfDropsErr reports call if its callee comes from an ErrPackages
-// package and returns an error that the statement form cannot consume.
+// flagIfDropsErr reports call if its callee comes from one of errPackages
+// and returns an error that the statement form cannot consume.
 func (p *pass) flagIfDropsErr(call *ast.CallExpr, how string) {
 	fn := p.errSourceCallee(call)
 	if fn == nil {
@@ -69,26 +69,14 @@ func (p *pass) flagIfDropsErr(call *ast.CallExpr, how string) {
 	}
 }
 
+// errPackages lists the import-path suffixes of the fault-injected layers
+// whose error results must never be discarded.
+var errPackages = []string{"internal/device", "internal/wal", "internal/core"}
+
 // errSourceCallee resolves call's static callee and returns it only when it
-// is a function (or method) defined in one of cfg.ErrPackages.
+// is a function (or method) defined in one of errPackages.
 func (p *pass) errSourceCallee(call *ast.CallExpr) *types.Func {
-	var obj types.Object
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		obj = p.unit.info.Uses[fun]
-	case *ast.SelectorExpr:
-		obj = p.unit.info.Uses[fun.Sel]
-	default:
-		return nil
-	}
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return nil
-	}
-	if !pathMatches(fn.Pkg().Path(), p.cfg.ErrPackages) {
-		return nil
-	}
-	return fn
+	return p.calleeIn(call, errPackages)
 }
 
 func isErrorType(t types.Type) bool {

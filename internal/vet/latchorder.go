@@ -2,113 +2,205 @@ package vet
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
+
+	"github.com/spitfire-db/spitfire/internal/lockcheck"
 )
 
-// checkLatchOrder enforces the descriptor locking discipline documented in
-// internal/core/descriptor.go:
+// checkLatchOrder runs the latch discipline of internal/lockcheck (the rank
+// table and lockcheck.Violation in rules.go) over every function body, so
+// the static check and the -tags lockcheck runtime checker enforce one
+// statement of the rules. It adds the one rule only a static pass can see:
+// no device, vclock or WAL call while a descriptor's mu is held.
 //
-//  1. Tier latches of one descriptor are taken in the fixed order
-//     latchD → latchN → latchS. Skipping a tier is fine; reordering is not.
-//  2. mu is a leaf lock: no latch acquisition and no device/vclock/WAL call
-//     may happen while any mu is held.
-//  3. A thread already holding a tier latch may touch a second descriptor's
-//     tier latches only via TryLock — a blocking Lock on a second
-//     descriptor is a lock-cycle waiting to happen.
-//  4. A frame group's fg.mu may be taken under tier latches, but the only
-//     acquisition allowed while it is held is descriptor.mu (the
-//     fine-grained load path pins the NVM backing under fg.mu; legal
-//     because mu is a strict leaf).
-//  5. A WAL shard's append mutex is a leaf on the append path; shard→shard
-//     acquisitions are legal only while the WAL's flushMu is held (the
-//     combining flusher draining shards in index order).
-//  6. Under flushMu only shard mutexes may be acquired.
-//  7. A buffer-pool shard's free-list mutex (poolShard.mu) is a strict
-//     leaf: taking it under tier latches is the normal allocation order,
-//     but nothing — not even another pool shard's mutex — may be acquired
-//     while one is held. Work-stealing drops the dry shard's mutex before
-//     probing the next shard.
+// The latches are learned from the code. A shim is any function whose body
+// calls lockcheck.Acquire (a blocking lock), lockcheck.Acquired (a
+// try-lock) or lockcheck.Release (an unlock) on its receiver or on one of
+// its parameters; each call of a shim is that latch operation on the
+// matching receiver or argument. The mutex field a shim locks on that value
+// (d.latchN in d.latchN.Lock()) gives the rank of raw Lock, TryLock and
+// Unlock calls on the same field elsewhere in the package.
 //
-// The analysis is intra-function: it simulates the held-latch set over each
-// function body, recognizing both the raw field forms (d.latchN.Lock(),
-// fg.mu.Lock(), sh.mu.Lock(), m.flushMu.Lock()) and the lockcheck shim
-// methods (d.lockN(), fg.lock(), m.lockShard(sh), m.tryLockFlush(), …). It
-// is a static complement to the -tags lockcheck runtime checker, which
-// catches the inter-procedural cases this pass cannot see.
+// The analysis is intra-function: it simulates the held-latch stack over
+// each function body. The runtime checker catches the inter-procedural
+// cases this pass cannot see.
 func checkLatchOrder(p *pass) {
+	l := findLatches(p)
 	for _, f := range p.unit.files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			w := &latchWalker{pass: p, held: map[string]map[int]bool{}}
+			w := &latchWalker{pass: p, latches: l}
 			w.block(fd.Body.List)
 		}
 	}
 }
 
-// Latch ranks, mirroring internal/lockcheck. Lower must be acquired first
-// among the tier latches; mu is a strict leaf; fg admits only mu under it;
-// the WAL ranks form their own two-level order (flushMu → shard mu).
-const (
-	rankD        = 1
-	rankN        = 2
-	rankS        = 3
-	rankMu       = 4
-	rankFg       = 5
-	rankWALShard = 6
-	rankWALFlush = 7
-	rankBMShard  = 8
-)
+// ioPackages is the device-I/O and simulated-clock surface that may not be
+// called while a descriptor's mu is held.
+var ioPackages = []string{
+	"internal/device", "internal/ssd", "internal/pmem",
+	"internal/vclock", "internal/wal",
+}
 
-func rankName(r int) string {
-	switch r {
-	case rankD:
-		return "latchD"
-	case rankN:
-		return "latchN"
-	case rankS:
-		return "latchS"
-	case rankMu:
-		return "mu"
-	case rankFg:
-		return "fg.mu"
-	case rankWALShard:
-		return "shard.mu"
-	case rankWALFlush:
-		return "flushMu"
-	case rankBMShard:
-		return "pool.shard"
+// shim is one function that routes a latch through lockcheck.
+type shim struct {
+	rank  lockcheck.Rank
+	kind  string // "lock", "try", "unlock"
+	param int    // index of the latched parameter; -1 for the receiver
+}
+
+// latches is one package's latch vocabulary, learned from its shims.
+type latches struct {
+	shims  map[*types.Func]shim
+	fields map[*types.Var]lockcheck.Rank // mutex fields the shims lock
+}
+
+// opKinds maps the lockcheck recording calls, and the sync.Mutex methods,
+// to the latch operation they stand for.
+var opKinds = map[string]string{
+	"Acquire": "lock", "Acquired": "try", "Release": "unlock",
+	"Lock": "lock", "TryLock": "try", "Unlock": "unlock",
+}
+
+// findLatches collects the package's shims and the mutex fields they lock.
+func findLatches(p *pass) *latches {
+	info := p.unit.info
+	l := &latches{shims: map[*types.Func]shim{}, fields: map[*types.Var]lockcheck.Rank{}}
+	for _, f := range p.unit.files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			fn, _ := info.Defs[fd.Name].(*types.Func)
+			if fn == nil {
+				continue
+			}
+			// The values a shim may latch: its receiver and parameters.
+			slots := map[types.Object]int{}
+			if fd.Recv != nil {
+				for _, n := range fd.Recv.List[0].Names {
+					slots[info.Defs[n]] = -1
+				}
+			}
+			i := 0
+			for _, field := range fd.Type.Params.List {
+				for _, n := range field.Names {
+					slots[info.Defs[n]] = i
+					i++
+				}
+				if len(field.Names) == 0 {
+					i++
+				}
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || len(call.Args) != 2 {
+					return true
+				}
+				lc := p.calleeIn(call, []string{"internal/lockcheck"})
+				x, _ := ast.Unparen(call.Args[0]).(*ast.Ident)
+				rankVal := info.Types[call.Args[1]].Value
+				if lc == nil || opKinds[lc.Name()] == "" || x == nil || rankVal == nil {
+					return true
+				}
+				slot, ok := slots[info.Uses[x]]
+				v, exact := constant.Int64Val(rankVal)
+				if !ok || !exact {
+					return true
+				}
+				rank := lockcheck.Rank(v)
+				l.shims[fn] = shim{rank: rank, kind: opKinds[lc.Name()], param: slot}
+				// The mutex field the shim locks on x takes x's rank.
+				ast.Inspect(fd.Body, func(m ast.Node) bool {
+					c, ok := m.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					if field, base, _ := mutexCall(info, c); field != nil {
+						if id, ok := ast.Unparen(base).(*ast.Ident); ok && info.Uses[id] == info.Uses[x] {
+							l.fields[field] = rank
+						}
+					}
+					return true
+				})
+				return false
+			})
+		}
 	}
-	return "?"
+	return l
+}
+
+// mutexCall matches <base>.<field>.Lock(), .TryLock() or .Unlock() and
+// returns the field, the base expression and the operation kind.
+func mutexCall(info *types.Info, call *ast.CallExpr) (*types.Var, ast.Expr, string) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || (sel.Sel.Name != "Lock" && sel.Sel.Name != "TryLock" && sel.Sel.Name != "Unlock") {
+		return nil, nil, ""
+	}
+	inner, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
+	if !ok {
+		return nil, nil, ""
+	}
+	field, ok := info.Uses[inner.Sel].(*types.Var)
+	if !ok || !field.IsField() {
+		return nil, nil, ""
+	}
+	return field, inner.X, opKinds[sel.Sel.Name]
+}
+
+// latchCall classifies one call expression as a latch operation: a call of
+// a shim, or a raw Lock/TryLock/Unlock of a mutex field a shim locks.
+func (w *latchWalker) latchCall(call *ast.CallExpr) (latchOp, bool) {
+	info := w.pass.unit.info
+	if field, base, kind := mutexCall(info, call); field != nil {
+		rank, ok := w.latches.fields[field]
+		return latchOp{base: base, rank: rank, kind: kind}, ok
+	}
+	s, ok := w.latches.shims[w.pass.callee(call)]
+	if !ok {
+		return latchOp{}, false
+	}
+	op := latchOp{rank: s.rank, kind: s.kind}
+	switch sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr); {
+	case s.param < 0 && isSel:
+		op.base = sel.X
+	case s.param >= 0 && s.param < len(call.Args):
+		op.base = call.Args[s.param]
+	default:
+		return latchOp{}, false
+	}
+	return op, true
 }
 
 // latchOp is one classified latch call site.
 type latchOp struct {
-	base ast.Expr // the descriptor expression
-	rank int
+	base ast.Expr // the latched value
+	rank lockcheck.Rank
 	kind string // "lock", "try", "unlock"
 }
 
-// latchWalker simulates the held-latch set over one function body.
-// held maps a canonical descriptor expression to the set of ranks held.
+// heldLatch is one entry of the simulated held-latch stack.
+type heldLatch struct {
+	base string // canonical expression of the latched value
+	rank lockcheck.Rank
+}
+
+// latchWalker simulates the held-latch stack over one function body, in
+// acquisition order like the runtime checker's shadow stack.
 type latchWalker struct {
-	pass *pass
-	held map[string]map[int]bool
+	pass    *pass
+	latches *latches
+	held    []heldLatch
 }
 
 func (w *latchWalker) clone() *latchWalker {
-	c := &latchWalker{pass: w.pass, held: map[string]map[int]bool{}}
-	for base, ranks := range w.held {
-		rs := map[int]bool{}
-		for r := range ranks {
-			rs[r] = true
-		}
-		c.held[base] = rs
-	}
-	return c
+	return &latchWalker{pass: w.pass, latches: w.latches, held: append([]heldLatch(nil), w.held...)}
 }
 
 func (w *latchWalker) block(stmts []ast.Stmt) {
@@ -121,7 +213,7 @@ func (w *latchWalker) stmt(st ast.Stmt) {
 	switch s := st.(type) {
 	case *ast.ExprStmt:
 		if call, ok := s.X.(*ast.CallExpr); ok {
-			if op, ok := w.pass.latchCall(call); ok {
+			if op, ok := w.latchCall(call); ok {
 				w.apply(op, call.Pos())
 				return
 			}
@@ -134,7 +226,7 @@ func (w *latchWalker) stmt(st ast.Stmt) {
 			// `got := d.latchN.TryLock()` followed by a branch: assume the
 			// success path so inversions on it are still caught.
 			if call, ok := ast.Unparen(r).(*ast.CallExpr); ok {
-				if op, ok := w.pass.latchCall(call); ok && op.kind == "try" {
+				if op, ok := w.latchCall(call); ok && op.kind == "try" {
 					w.apply(op, call.Pos())
 					continue
 				}
@@ -225,7 +317,7 @@ func (w *latchWalker) ifStmt(s *ast.IfStmt) {
 	// Negated try: `if !try { ... }`.
 	if un, ok := cond.(*ast.UnaryExpr); ok && un.Op == token.NOT {
 		if call, ok := ast.Unparen(un.X).(*ast.CallExpr); ok {
-			if op, ok := w.pass.latchCall(call); ok && op.kind == "try" {
+			if op, ok := w.latchCall(call); ok && op.kind == "try" {
 				w.clone().block(s.Body.List) // failure path: not held
 				if s.Else != nil {
 					els := w.clone()
@@ -241,7 +333,7 @@ func (w *latchWalker) ifStmt(s *ast.IfStmt) {
 	}
 	// Positive try: `if try { ... }`.
 	if call, ok := cond.(*ast.CallExpr); ok {
-		if op, ok := w.pass.latchCall(call); ok && op.kind == "try" {
+		if op, ok := w.latchCall(call); ok && op.kind == "try" {
 			then := w.clone()
 			then.apply(op, call.Pos())
 			then.block(s.Body.List)
@@ -274,11 +366,11 @@ func (w *latchWalker) scanExpr(e ast.Expr) {
 	ast.Inspect(e, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.FuncLit:
-			inner := &latchWalker{pass: w.pass, held: map[string]map[int]bool{}}
+			inner := &latchWalker{pass: w.pass, latches: w.latches}
 			inner.block(x.Body.List)
 			return false
 		case *ast.CallExpr:
-			if op, ok := w.pass.latchCall(x); ok {
+			if op, ok := w.latchCall(x); ok {
 				w.apply(op, x.Pos())
 				return true
 			}
@@ -293,7 +385,7 @@ func (w *latchWalker) scanExpr(e ast.Expr) {
 func (w *latchWalker) scanFuncLits(call *ast.CallExpr) {
 	ast.Inspect(call, func(n ast.Node) bool {
 		if fl, ok := n.(*ast.FuncLit); ok {
-			inner := &latchWalker{pass: w.pass, held: map[string]map[int]bool{}}
+			inner := &latchWalker{pass: w.pass, latches: w.latches}
 			inner.block(fl.Body.List)
 			return false
 		}
@@ -301,460 +393,68 @@ func (w *latchWalker) scanFuncLits(call *ast.CallExpr) {
 	})
 }
 
-// apply mutates the held set for one latch operation, reporting violations.
+// apply updates the held stack for one latch operation. An acquisition is
+// checked against every latch held, in acquisition order, with
+// lockcheck.Violation; the first broken rule is reported.
 func (w *latchWalker) apply(op latchOp, pos token.Pos) {
 	base := exprKey(op.base)
-	switch op.kind {
-	case "unlock":
-		if rs := w.held[base]; rs != nil {
-			delete(rs, op.rank)
-			if len(rs) == 0 {
-				delete(w.held, base)
+	if op.kind == "unlock" {
+		for i := len(w.held) - 1; i >= 0; i-- {
+			if w.held[i] == (heldLatch{base, op.rank}) {
+				w.held = append(w.held[:i], w.held[i+1:]...)
+				break
 			}
 		}
 		return
 	}
-
-	// Rule 2 (mu is a leaf): nothing is acquired while any mu is held.
-	for heldBase, rs := range w.held {
-		if rs[rankMu] {
-			w.pass.report(pos, "latchorder",
-				"acquiring %s.%s while %s.mu is held (mu is a leaf lock: acquire nothing under it)",
-				base, rankName(op.rank), heldBase)
-			break
-		}
-	}
-
-	// Rule 4 (frame groups): only descriptor.mu may be acquired under fg.mu.
-	if op.rank != rankMu {
-		for heldBase, rs := range w.held {
-			if rs[rankFg] {
-				w.pass.report(pos, "latchorder",
-					"acquiring %s.%s while %s (a frame-group lock) is held (only descriptor.mu may be taken under fg.mu)",
-					base, rankName(op.rank), heldBase)
-				break
-			}
-		}
-	}
-
-	// Rule 7 (BM pool shards): a pool shard's free-list mutex is a strict
-	// leaf — nothing may be acquired while one is held (work-stealing drops
-	// the dry shard before probing the next).
-	for heldBase, rs := range w.held {
-		if rs[rankBMShard] {
-			w.pass.report(pos, "latchorder",
-				"acquiring %s.%s while %s (a buffer-pool shard mutex) is held (pool shards are strict leaves: drop one shard before probing the next)",
-				base, rankName(op.rank), heldBase)
-			break
-		}
-	}
-
-	// Rules 5 and 6 (WAL order): a shard mutex is a leaf on the append path —
-	// shard→shard only under flushMu (the combining flusher) — and flushMu
-	// admits nothing but shard mutexes under it.
 	flushHeld := false
-	for _, rs := range w.held {
-		if rs[rankWALFlush] {
-			flushHeld = true
+	for _, h := range w.held {
+		flushHeld = flushHeld || h.rank == lockcheck.RankWALFlush
+	}
+	for _, h := range w.held {
+		if msg := lockcheck.Violation(h.rank, h.base == base, op.rank, op.kind == "lock", flushHeld); msg != "" {
+			w.pass.report(pos, "latchorder", "acquiring %s of %s while holding %s of %s: %s",
+				op.rank, base, h.rank, h.base, msg)
 			break
 		}
 	}
-	for heldBase, rs := range w.held {
-		if rs[rankWALShard] && !(op.rank == rankWALShard && flushHeld) {
-			w.pass.report(pos, "latchorder",
-				"acquiring %s.%s while %s (a WAL shard mutex) is held (shard mutexes are leaves on the append path; shard→shard only under flushMu)",
-				base, rankName(op.rank), heldBase)
-			break
-		}
-	}
-	if flushHeld && op.rank != rankWALShard {
-		w.pass.report(pos, "latchorder",
-			"acquiring %s.%s while flushMu is held (only shard mutexes may be taken under flushMu)",
-			base, rankName(op.rank))
-	}
-
-	if op.rank == rankMu {
-		if w.held[base] != nil && w.held[base][rankMu] {
-			w.pass.report(pos, "latchorder",
-				"re-acquiring %s.mu already held on this path", base)
-		}
-		w.hold(base, op.rank)
-		return
-	}
-
-	// Rule 1 (tier order on one descriptor): a new tier latch must outrank
-	// every tier latch already held on the same descriptor. Only the tier
-	// ranks participate — fg/WAL locks have their own rules above.
-	if rs := w.held[base]; rs != nil && op.rank <= rankS {
-		for r := range rs {
-			if r <= rankS && r >= op.rank {
-				w.pass.report(pos, "latchorder",
-					"acquiring %s.%s while holding %s.%s (tier order is latchD → latchN → latchS)",
-					base, rankName(op.rank), base, rankName(r))
-				break
-			}
-		}
-	}
-
-	// Rule 3 (second descriptor): blocking Lock of a tier latch is illegal
-	// while any other descriptor's tier latch is held. Tier latches only:
-	// taking fg.mu or a WAL lock under a tier latch is the normal order.
-	if op.kind == "lock" && op.rank <= rankS {
-	outer:
-		for heldBase, rs := range w.held {
-			if heldBase == base {
-				continue
-			}
-			for r := range rs {
-				if r <= rankS {
-					w.pass.report(pos, "latchorder",
-						"blocking Lock of %s.%s while holding %s.%s on another descriptor (use TryLock for second descriptors)",
-						base, rankName(op.rank), heldBase, rankName(r))
-					break outer
-				}
-			}
-		}
-	}
-
-	w.hold(base, op.rank)
-}
-
-func (w *latchWalker) hold(base string, rank int) {
-	if w.held[base] == nil {
-		w.held[base] = map[int]bool{}
-	}
-	w.held[base][rank] = true
-}
-
-// muHeld reports whether any descriptor's mu is in the held set.
-func (w *latchWalker) muHeld() (string, bool) {
-	for base, rs := range w.held {
-		if rs[rankMu] {
-			return base, true
-		}
-	}
-	return "", false
+	w.held = append(w.held, heldLatch{base, op.rank})
 }
 
 // ioCheck flags a call into the device/vclock/WAL surface while mu is held.
 func (w *latchWalker) ioCheck(call *ast.CallExpr) {
-	muBase, ok := w.muHeld()
-	if !ok {
+	for _, h := range w.held {
+		if h.rank != lockcheck.RankMu {
+			continue
+		}
+		if fn := w.pass.calleeIn(call, ioPackages); fn != nil {
+			w.pass.report(call.Pos(), "latchorder",
+				"call to %s.%s while %s.mu is held (mu is a leaf lock: no device/vclock I/O under it)",
+				pkgShort(fn), fn.Name(), h.base)
+		}
 		return
 	}
-	fn := w.pass.calleeIn(call, w.pass.cfg.IOPackages)
-	if fn == nil {
-		return
-	}
-	w.pass.report(call.Pos(), "latchorder",
-		"call to %s.%s while %s.mu is held (mu is a leaf lock: no device/vclock I/O under it)",
-		pkgShort(fn), fn.Name(), muBase)
 }
 
-// calleeIn resolves a call's static callee when it belongs to one of the
-// given import-path suffixes.
-func (p *pass) calleeIn(call *ast.CallExpr, pkgs []string) *types.Func {
+// callee resolves a call's static callee, or nil.
+func (p *pass) callee(call *ast.CallExpr) *types.Func {
 	var obj types.Object
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		obj = p.unit.info.Uses[fun]
 	case *ast.SelectorExpr:
 		obj = p.unit.info.Uses[fun.Sel]
-	default:
-		return nil
 	}
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() == nil || !pathMatches(fn.Pkg().Path(), pkgs) {
-		return nil
-	}
+	fn, _ := obj.(*types.Func)
 	return fn
 }
 
-// latchShims maps the internal/core shim method names to (rank, kind).
-var latchShims = map[string]latchOp{
-	"lockD":     {rank: rankD, kind: "lock"},
-	"tryLockD":  {rank: rankD, kind: "try"},
-	"unlockD":   {rank: rankD, kind: "unlock"},
-	"lockN":     {rank: rankN, kind: "lock"},
-	"tryLockN":  {rank: rankN, kind: "try"},
-	"unlockN":   {rank: rankN, kind: "unlock"},
-	"lockS":     {rank: rankS, kind: "lock"},
-	"tryLockS":  {rank: rankS, kind: "try"},
-	"unlockS":   {rank: rankS, kind: "unlock"},
-	"lockMu":    {rank: rankMu, kind: "lock"},
-	"tryLockMu": {rank: rankMu, kind: "try"},
-	"unlockMu":  {rank: rankMu, kind: "unlock"},
-}
-
-func latchFieldRank(name string) int {
-	switch name {
-	case "latchD":
-		return rankD
-	case "latchN":
-		return rankN
-	case "latchS":
-		return rankS
-	case "mu":
-		return rankMu
-	}
-	return 0
-}
-
-// latchCall classifies one call expression as a latch operation on a
-// descriptor-shaped value, recognizing the raw field form
-// (d.latchN.Lock() / .TryLock() / .Unlock()) and the shim method form
-// (d.lockN() / d.tryLockN() / d.unlockN()).
-func (p *pass) latchCall(call *ast.CallExpr) (latchOp, bool) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return latchOp{}, false
-	}
-	name := sel.Sel.Name
-
-	// Raw field form: <base>.<latchField>.<Lock|TryLock|Unlock>().
-	var kind string
-	switch name {
-	case "Lock":
-		kind = "lock"
-	case "TryLock":
-		kind = "try"
-	case "Unlock":
-		kind = "unlock"
-	}
-	if kind != "" {
-		inner, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
-		if !ok {
-			return latchOp{}, false
-		}
-		baseT := p.unit.info.Types[inner.X].Type
-		switch {
-		case inner.Sel.Name == "mu" && p.isFrameGroupType(baseT):
-			return latchOp{base: inner.X, rank: rankFg, kind: kind}, true
-		case inner.Sel.Name == "mu" && p.isWALShardType(baseT):
-			return latchOp{base: inner.X, rank: rankWALShard, kind: kind}, true
-		case inner.Sel.Name == "mu" && p.isBMShardType(baseT):
-			return latchOp{base: inner.X, rank: rankBMShard, kind: kind}, true
-		case inner.Sel.Name == "flushMu" && p.isWALManagerType(baseT):
-			return latchOp{base: inner.X, rank: rankWALFlush, kind: kind}, true
-		}
-		rank := latchFieldRank(inner.Sel.Name)
-		if rank == 0 || !p.isDescriptorType(baseT) {
-			return latchOp{}, false
-		}
-		return latchOp{base: inner.X, rank: rank, kind: kind}, true
-	}
-
-	// Frame-group shim form: fg.lock() / fg.unlock() on an fgState-shaped
-	// receiver. The generic names make the type gate load-bearing.
-	if name == "lock" || name == "unlock" {
-		if p.isFrameGroupType(p.unit.info.Types[sel.X].Type) {
-			k := "lock"
-			if name == "unlock" {
-				k = "unlock"
-			}
-			return latchOp{base: sel.X, rank: rankFg, kind: k}, true
-		}
-		return latchOp{}, false
-	}
-
-	// Shard shim forms carry the shard as an argument, so the *argument* is
-	// the latch's base. The receiver's shape picks the rank: a WAL manager
-	// (flushMu) routes to the WAL shard rank, a buffer pool (shards +
-	// freeLen) to the pool shard rank.
-	if name == "lockShard" || name == "unlockShard" {
-		if len(call.Args) == 1 {
-			recvT := p.unit.info.Types[sel.X].Type
-			k := "lock"
-			if name == "unlockShard" {
-				k = "unlock"
-			}
-			if p.isWALManagerType(recvT) {
-				return latchOp{base: call.Args[0], rank: rankWALShard, kind: k}, true
-			}
-			if p.isBMPoolType(recvT) {
-				return latchOp{base: call.Args[0], rank: rankBMShard, kind: k}, true
-			}
-		}
-		return latchOp{}, false
-	}
-	if name == "lockFlush" || name == "tryLockFlush" || name == "unlockFlush" {
-		if p.isWALManagerType(p.unit.info.Types[sel.X].Type) {
-			k := "lock"
-			switch name {
-			case "tryLockFlush":
-				k = "try"
-			case "unlockFlush":
-				k = "unlock"
-			}
-			return latchOp{base: sel.X, rank: rankWALFlush, kind: k}, true
-		}
-		return latchOp{}, false
-	}
-
-	// Descriptor shim method form.
-	op, ok := latchShims[name]
-	if !ok || !p.isDescriptorType(p.unit.info.Types[sel.X].Type) {
-		return latchOp{}, false
-	}
-	op.base = sel.X
-	return op, true
-}
-
-// isFrameGroupType reports whether t (possibly a pointer) is shaped like
-// internal/core's fgState: a struct with a mu sync.Mutex plus resident and
-// dirty bitmap fields. Only on such structs does a bare lock()/unlock()
-// method or a .mu field carry frame-group locking semantics.
-func (p *pass) isFrameGroupType(t types.Type) bool {
-	st := structOf(t)
-	if st == nil {
-		return false
-	}
-	var hasMu, hasResident, hasDirty bool
-	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		switch f.Name() {
-		case "mu":
-			hasMu = isSyncMutex(f.Type())
-		case "resident":
-			hasResident = true
-		case "dirty":
-			hasDirty = true
-		}
-	}
-	return hasMu && hasResident && hasDirty
-}
-
-// isWALShardType recognizes internal/wal's walShard shape: a struct with a
-// mu sync.Mutex and a bufOff append cursor.
-func (p *pass) isWALShardType(t types.Type) bool {
-	st := structOf(t)
-	if st == nil {
-		return false
-	}
-	var hasMu, hasBufOff bool
-	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		switch f.Name() {
-		case "mu":
-			hasMu = isSyncMutex(f.Type())
-		case "bufOff":
-			hasBufOff = true
-		}
-	}
-	return hasMu && hasBufOff
-}
-
-// isBMShardType recognizes internal/core's poolShard shape: a struct with a
-// mu sync.Mutex and a freeN free-list depth counter.
-func (p *pass) isBMShardType(t types.Type) bool {
-	st := structOf(t)
-	if st == nil {
-		return false
-	}
-	var hasMu, hasFreeN bool
-	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		switch f.Name() {
-		case "mu":
-			hasMu = isSyncMutex(f.Type())
-		case "freeN":
-			hasFreeN = true
-		}
-	}
-	return hasMu && hasFreeN
-}
-
-// isBMPoolType recognizes internal/core's basePool shape: a struct with a
-// shards slice and a freeLen aggregate counter.
-func (p *pass) isBMPoolType(t types.Type) bool {
-	st := structOf(t)
-	if st == nil {
-		return false
-	}
-	var hasShards, hasFreeLen bool
-	for i := 0; i < st.NumFields(); i++ {
-		switch st.Field(i).Name() {
-		case "shards":
-			hasShards = true
-		case "freeLen":
-			hasFreeLen = true
-		}
-	}
-	return hasShards && hasFreeLen
-}
-
-// isWALManagerType recognizes internal/wal's Manager shape: any struct with
-// a flushMu sync.Mutex.
-func (p *pass) isWALManagerType(t types.Type) bool {
-	st := structOf(t)
-	if st == nil {
-		return false
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		if f.Name() == "flushMu" && isSyncMutex(f.Type()) {
-			return true
-		}
-	}
-	return false
-}
-
-// structOf strips pointers and returns t's underlying struct, or nil.
-func structOf(t types.Type) *types.Struct {
-	if t == nil {
+// calleeIn resolves a call's static callee when it belongs to one of the
+// given import-path suffixes.
+func (p *pass) calleeIn(call *ast.CallExpr, pkgs []string) *types.Func {
+	fn := p.callee(call)
+	if fn == nil || fn.Pkg() == nil || !pathMatches(fn.Pkg().Path(), pkgs) {
 		return nil
 	}
-	for {
-		ptr, ok := t.(*types.Pointer)
-		if !ok {
-			break
-		}
-		t = ptr.Elem()
-	}
-	st, ok := t.Underlying().(*types.Struct)
-	if !ok {
-		return nil
-	}
-	return st
-}
-
-// isDescriptorType reports whether t (possibly a pointer) is a struct with
-// at least one tier-latch field (latchD/latchN/latchS of type sync.Mutex) —
-// the structural signature of a page descriptor. Only on such structs do
-// the field names carry locking semantics.
-func (p *pass) isDescriptorType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	for {
-		ptr, ok := t.(*types.Pointer)
-		if !ok {
-			break
-		}
-		t = ptr.Elem()
-	}
-	st, ok := t.Underlying().(*types.Struct)
-	if !ok {
-		return false
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		if latchFieldRank(f.Name()) == 0 || f.Name() == "mu" {
-			continue
-		}
-		if isSyncMutex(f.Type()) {
-			return true
-		}
-	}
-	return false
-}
-
-func isSyncMutex(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	pkg := named.Obj().Pkg().Path()
-	name := named.Obj().Name()
-	return pkg == "sync" && (name == "Mutex" || name == "RWMutex")
+	return fn
 }

@@ -6,10 +6,11 @@ import (
 	"strings"
 )
 
-// checkObsGuard flags method calls on the observability types (cfg.ObsTypes:
-// *obs.Obs, *obs.Ring, *metrics.Histogram) that are not dominated by a nil
-// check. The disabled fast path costs one pointer nil-check per operation
-// (~92 ns on a DRAM hit, DESIGN.md §5-quater); an unguarded Observe/Emit on
+// checkObsGuard flags method calls on the observability types (obsTypes:
+// *obs.Obs, *obs.Ring, *metrics.Histogram) in the internal/ packages that
+// are not dominated by a nil check. The disabled fast path costs one
+// pointer nil-check per operation (~92 ns on a DRAM hit, DESIGN.md
+// §5-quater); an unguarded Observe/Emit on
 // a hot path would either pay clock reads with observability off or panic on
 // the nil histogram pointers a disabled manager carries.
 //
@@ -21,13 +22,13 @@ import (
 // (c) a receiver chained from a local built by an obs/metrics constructor in
 // the same function (provably non-nil).
 func checkObsGuard(p *pass) {
-	if !pathContains(p.unit.path, p.cfg.ObsScope) {
+	if !strings.Contains(p.unit.path, "/internal/") {
 		return
 	}
 	// The packages defining the observability types check their own
 	// receivers (nil-receiver methods are part of their API contract).
-	for _, t := range p.cfg.ObsTypes {
-		if i := strings.LastIndex(t, "."); i > 0 && p.unit.path == t[:i] {
+	for _, t := range obsTypes {
+		if pathMatches(p.unit.path, []string{t[:strings.LastIndex(t, ".")]}) {
 			return
 		}
 	}
@@ -342,17 +343,20 @@ func isNilIdent(e ast.Expr) bool {
 	return ok && id.Name == "nil"
 }
 
+// obsTypes lists, as "import-path-suffix.Type", the observability types
+// whose method calls must be nil-guarded.
+var obsTypes = []string{"internal/obs.Obs", "internal/obs.Ring", "internal/metrics.Histogram"}
+
 // protectedTypeName returns the short "pkg.Type" name when t is a pointer to
-// one of cfg.ObsTypes, else "".
+// one of obsTypes, else "".
 func protectedTypeName(p *pass, t types.Type) string {
 	n := namedPtrName(t)
 	if n == "" {
 		return ""
 	}
-	for _, want := range p.cfg.ObsTypes {
-		if n == want || strings.HasSuffix(n, "/"+shortOf(want)) || n == shortOf(want) {
-			i := strings.LastIndex(want, "/")
-			return want[i+1:]
+	for _, want := range obsTypes {
+		if n == want || strings.HasSuffix(n, "/"+want) {
+			return shortOf(want)
 		}
 	}
 	return ""

@@ -1,11 +1,12 @@
-// Package latch is a vet fixture: a descriptor-shaped struct exercised
-// against each rule of the latch discipline.
+// Package latch is a vet fixture: latches routed through lockcheck shims,
+// exercised against each rule of the latch discipline.
 package latch
 
 import (
 	"sync"
 
-	"fix/devio"
+	"fix/internal/device"
+	"fix/internal/lockcheck"
 )
 
 type descriptor struct {
@@ -15,12 +16,35 @@ type descriptor struct {
 	mu     sync.Mutex
 }
 
-// Shims mirroring internal/core's lockcheck routing.
-func (d *descriptor) lockS() { d.latchS.Lock() }
+// Shims mirroring internal/core's lockcheck routing. They are what gives
+// the raw d.latchD / d.latchN / d.latchS / d.mu calls below their ranks.
+func (d *descriptor) lockD() {
+	lockcheck.Acquire(d, lockcheck.RankD)
+	d.latchD.Lock()
+}
 
-func (d *descriptor) unlockS() { d.latchS.Unlock() }
+func (d *descriptor) tryLockN() bool {
+	if !d.latchN.TryLock() {
+		return false
+	}
+	lockcheck.Acquired(d, lockcheck.RankN)
+	return true
+}
 
-func (d *descriptor) tryLockN() bool { return d.latchN.TryLock() }
+func (d *descriptor) lockS() {
+	lockcheck.Acquire(d, lockcheck.RankS)
+	d.latchS.Lock()
+}
+
+func (d *descriptor) unlockS() {
+	d.latchS.Unlock()
+	lockcheck.Release(d, lockcheck.RankS)
+}
+
+func (d *descriptor) lockMu() {
+	lockcheck.Acquire(d, lockcheck.RankMu)
+	d.mu.Lock()
+}
 
 // Inverted acquires tier latches out of order.
 func Inverted(d *descriptor) {
@@ -43,8 +67,8 @@ func ShimInverted(d *descriptor) {
 // UnderMu acquires a latch and performs device I/O under the leaf lock.
 func UnderMu(d *descriptor, b []byte) {
 	d.mu.Lock()
-	d.latchD.Lock()                             // want latchorder
-	if err := devio.WriteAt(0, b); err != nil { // want latchorder
+	d.latchD.Lock()                              // want latchorder
+	if err := device.WriteAt(0, b); err != nil { // want latchorder
 		_ = err
 	}
 	d.latchD.Unlock()
@@ -65,7 +89,7 @@ func SecondBlocking(a, b *descriptor) {
 func Clean(a, b *descriptor, buf []byte) error {
 	a.latchD.Lock()
 	defer a.latchD.Unlock()
-	if err := devio.WriteAt(0, buf); err != nil { // I/O under tier latch is fine
+	if err := device.WriteAt(0, buf); err != nil { // I/O under tier latch is fine
 		return err
 	}
 	a.latchS.Lock() // skipping latchN is fine
@@ -80,39 +104,64 @@ func Clean(a, b *descriptor, buf []byte) error {
 	return nil
 }
 
-// fgroup mirrors internal/core's fgState shape: mu plus residency/dirty
-// bitmaps. Its bare lock/unlock methods are the frame-group shims.
+// fgroup mirrors internal/core's fgState. Its lock/unlock shims make fg.mu
+// a frame-group lock.
 type fgroup struct {
 	mu       sync.Mutex
 	resident []uint64
 	dirty    []uint64
 }
 
-func (fg *fgroup) lock() { fg.mu.Lock() }
+func (fg *fgroup) lock() {
+	lockcheck.Acquire(fg, lockcheck.RankFg)
+	fg.mu.Lock()
+}
 
-func (fg *fgroup) unlock() { fg.mu.Unlock() }
+func (fg *fgroup) unlock() {
+	fg.mu.Unlock()
+	lockcheck.Release(fg, lockcheck.RankFg)
+}
 
-// walShard mirrors internal/wal's shard shape (mu + bufOff cursor).
+// walShard mirrors internal/wal's shard.
 type walShard struct {
 	mu     sync.Mutex
 	bufOff int64
 }
 
-// walManager mirrors internal/wal's Manager shape (flushMu + shards).
+// walManager mirrors internal/wal's Manager. Its shard shims latch their
+// argument, not the receiver.
 type walManager struct {
 	flushMu sync.Mutex
 	shards  []*walShard
 }
 
-func (m *walManager) lockShard(sh *walShard) { sh.mu.Lock() }
+func (m *walManager) lockShard(sh *walShard) {
+	lockcheck.Acquire(sh, lockcheck.RankWALShard)
+	sh.mu.Lock()
+}
 
-func (m *walManager) unlockShard(sh *walShard) { sh.mu.Unlock() }
+func (m *walManager) unlockShard(sh *walShard) {
+	sh.mu.Unlock()
+	lockcheck.Release(sh, lockcheck.RankWALShard)
+}
 
-func (m *walManager) lockFlush() { m.flushMu.Lock() }
+func (m *walManager) lockFlush() {
+	lockcheck.Acquire(m, lockcheck.RankWALFlush)
+	m.flushMu.Lock()
+}
 
-func (m *walManager) tryLockFlush() bool { return m.flushMu.TryLock() }
+func (m *walManager) tryLockFlush() bool {
+	if !m.flushMu.TryLock() {
+		return false
+	}
+	lockcheck.Acquired(m, lockcheck.RankWALFlush)
+	return true
+}
 
-func (m *walManager) unlockFlush() { m.flushMu.Unlock() }
+func (m *walManager) unlockFlush() {
+	m.flushMu.Unlock()
+	lockcheck.Release(m, lockcheck.RankWALFlush)
+}
 
 // FgNotLeaf acquires a tier latch under a frame-group lock.
 func FgNotLeaf(d *descriptor, fg *fgroup) {
@@ -146,22 +195,29 @@ func FlushAdmitsOnlyShards(m *walManager, d *descriptor) {
 	m.unlockFlush()
 }
 
-// bmShard mirrors internal/core's poolShard shape (mu + freeN free-list
-// depth): its mutex is the buffer-pool shard leaf.
+// bmShard mirrors internal/core's poolShard: its mutex is the buffer-pool
+// shard leaf.
 type bmShard struct {
 	mu    sync.Mutex
 	freeN int32
 }
 
-// bmPool mirrors internal/core's basePool shape (shards + freeLen).
+// bmPool mirrors internal/core's basePool. Its shims share their names with
+// walManager's but latch a different rank.
 type bmPool struct {
 	shards  []*bmShard
 	freeLen int64
 }
 
-func (p *bmPool) lockShard(sh *bmShard) { sh.mu.Lock() }
+func (p *bmPool) lockShard(sh *bmShard) {
+	lockcheck.Acquire(sh, lockcheck.RankBMShard)
+	sh.mu.Lock()
+}
 
-func (p *bmPool) unlockShard(sh *bmShard) { sh.mu.Unlock() }
+func (p *bmPool) unlockShard(sh *bmShard) {
+	sh.mu.Unlock()
+	lockcheck.Release(sh, lockcheck.RankBMShard)
+}
 
 // PoolShardUnderShard holds two pool shard mutexes at once; work-stealing
 // must drop the dry shard before probing the next.

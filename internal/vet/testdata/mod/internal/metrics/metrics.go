@@ -1,0 +1,7 @@
+// Package metrics is a vet fixture mirroring the histogram handle of the
+// metrics layer.
+package metrics
+
+type Histogram struct{ sum float64 }
+
+func (h *Histogram) Observe(v float64) { h.sum += v }

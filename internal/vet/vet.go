@@ -8,10 +8,9 @@
 //   - droppederr: no discarded error results from the fault-injected I/O
 //     layers (internal/device, internal/wal, internal/core) — the failure
 //     mode the retry/degradation hardening exists to prevent.
-//   - latchorder: descriptor tier latches acquired in the fixed order
-//     latchD → latchN → latchS, mu used strictly as a leaf lock (no latch
-//     acquisition and no device/vclock call while it is held), and no
-//     blocking acquisition of a second descriptor's tier latch.
+//   - latchorder: the latch discipline stated in internal/lockcheck
+//     (rules.go), applied to every function body, plus no device, vclock
+//     or WAL call while a descriptor's mu is held.
 //   - obsguard: calls into the observability layer (*obs.Obs, *obs.Ring,
 //     *metrics.Histogram) dominated by a nil check, protecting the ~92 ns
 //     disabled fast path.
@@ -61,7 +60,7 @@ func (f Finding) String() string {
 var AllChecks = []string{"determinism", "droppederr", "latchorder", "obsguard", "allowlive"}
 
 // Config configures a vet run. The zero value (plus Dir) analyzes every
-// non-test package under Dir with all four checks and the defaults below.
+// non-test package under Dir with all checks.
 type Config struct {
 	// Dir is the module root (or, for fixture runs, a bare package
 	// directory with no go.mod). Defaults to ".".
@@ -78,32 +77,6 @@ type Config struct {
 	// legitimately use wall-clock deadlines and discard cleanup errors).
 	IncludeTests bool
 
-	// DeterminismScope limits the determinism check to packages whose
-	// import path contains one of these substrings.
-	// Default: {"/internal/"}.
-	DeterminismScope []string
-
-	// ErrPackages lists import-path suffixes whose functions' error
-	// results must never be discarded.
-	// Default: {"internal/device", "internal/wal", "internal/core"}.
-	ErrPackages []string
-
-	// ObsTypes lists the "package/path.Type" names whose method calls must
-	// be nil-guarded. Default: internal/obs.Obs, internal/obs.Ring,
-	// internal/metrics.Histogram.
-	ObsTypes []string
-
-	// ObsScope limits the obsguard check to packages whose import path
-	// contains one of these substrings (the packages defining ObsTypes are
-	// always exempt). Default: {"/internal/"}.
-	ObsScope []string
-
-	// IOPackages lists import-path suffixes considered device-I/O or
-	// simulated-clock surface for latchorder's mu-is-a-leaf rule.
-	// Default: {"internal/device", "internal/ssd", "internal/pmem",
-	// "internal/vclock", "internal/wal"}.
-	IOPackages []string
-
 	// Warn receives non-fatal loader diagnostics (type-check hiccups in
 	// packages the source importer could not fully resolve). Nil discards.
 	Warn func(format string, args ...any)
@@ -119,28 +92,6 @@ func (cfg *Config) withDefaults() *Config {
 	}
 	if len(c.Checks) == 0 {
 		c.Checks = AllChecks
-	}
-	if len(c.DeterminismScope) == 0 {
-		c.DeterminismScope = []string{"/internal/"}
-	}
-	if len(c.ErrPackages) == 0 {
-		c.ErrPackages = []string{"internal/device", "internal/wal", "internal/core"}
-	}
-	if len(c.ObsTypes) == 0 {
-		c.ObsTypes = []string{
-			"github.com/spitfire-db/spitfire/internal/obs.Obs",
-			"github.com/spitfire-db/spitfire/internal/obs.Ring",
-			"github.com/spitfire-db/spitfire/internal/metrics.Histogram",
-		}
-	}
-	if len(c.ObsScope) == 0 {
-		c.ObsScope = []string{"/internal/"}
-	}
-	if len(c.IOPackages) == 0 {
-		c.IOPackages = []string{
-			"internal/device", "internal/ssd", "internal/pmem",
-			"internal/vclock", "internal/wal",
-		}
 	}
 	if c.Warn == nil {
 		c.Warn = func(string, ...any) {}
@@ -511,16 +462,6 @@ func topoSort(units []*pkgUnit, byPath map[string]*pkgUnit) ([]*pkgUnit, error) 
 func pathMatches(path string, suffixes []string) bool {
 	for _, s := range suffixes {
 		if path == s || strings.HasSuffix(path, "/"+s) || strings.HasSuffix(path, s) {
-			return true
-		}
-	}
-	return false
-}
-
-// pathContains reports whether the import path contains any substring.
-func pathContains(path string, subs []string) bool {
-	for _, s := range subs {
-		if strings.Contains(path, s) {
 			return true
 		}
 	}

@@ -13,17 +13,12 @@ import (
 )
 
 // fixtureConfig points the analyzers at the fixture module, whose packages
-// play the roles of the real tree (fix/devio = internal/device, fix/obs =
-// internal/obs, …).
+// sit under the real tree's package paths (internal/device,
+// internal/obs, internal/lockcheck, …) so the analyzers' defaults apply.
 func fixtureConfig(t *testing.T) vet.Config {
 	t.Helper()
 	return vet.Config{
-		Dir:              filepath.Join("testdata", "mod"),
-		DeterminismScope: []string{"fix/determ"},
-		ErrPackages:      []string{"fix/devio"},
-		IOPackages:       []string{"fix/devio"},
-		ObsTypes:         []string{"fix/obs.Obs", "fix/obs.Histogram"},
-		ObsScope:         []string{"fix/obsuse"},
+		Dir: filepath.Join("testdata", "mod"),
 		Warn: func(format string, args ...any) {
 			t.Logf(format, args...)
 		},

@@ -15,8 +15,10 @@ type Applier interface {
 	// ApplyRedo reinstalls rec's after-image if the page's LSN is older
 	// than rec.LSN.
 	ApplyRedo(c *vclock.Clock, rec *Record) error
-	// ApplyUndo restores rec's before-image unconditionally (recovery is
-	// single-threaded and runs undo exactly once, newest first).
+	// ApplyUndo restores rec's before-image unconditionally. Recovery is
+	// single-threaded and calls it newest first: for an aborted
+	// transaction's records when redo reaches its ABORT, and for losers'
+	// records after redo.
 	ApplyUndo(c *vclock.Clock, rec *Record) error
 }
 
@@ -144,6 +146,15 @@ func scanResync(raw []byte, st *RecoveryStats) []Record {
 	return recs
 }
 
+// slotKey names the tuple slot a data record writes.
+type slotKey struct {
+	table uint32
+	page  uint64
+	slot  uint16
+}
+
+func slotOf(rec *Record) slotKey { return slotKey{rec.TableID, rec.PageID, rec.Slot} }
+
 func le64(b []byte) uint64 {
 	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
 		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
@@ -156,7 +167,8 @@ func le64(b []byte) uint64 {
 //     shard regions are appended to the SSD log file;
 //  2. analysis: classify transactions into winners and losers (a loser has
 //     a BEGIN or data record and no COMMIT or ABORT);
-//  3. redo: repeat history for all records in LSN order;
+//  3. redo: repeat history for all records in LSN order, including each
+//     aborted transaction's in-place rollback at its ABORT record;
 //  4. undo: roll back losers' updates in reverse LSN order.
 //
 // opt.Shards must match what the crashed buffer was initialized with: the
@@ -242,20 +254,47 @@ func Recover(c *vclock.Clock, opt Options, app Applier) (*Manager, *RecoveredLog
 		}
 	}
 
-	// Step 3: redo (repeating history, including losers, so undo sees the
-	// exact state the crash left).
+	// Step 3: redo, repeating history in LSN order. Every data record is
+	// replayed, an aborted transaction's too: Txn.Abort rolls back in place
+	// and logs no compensation records, so a page copy that reached NVM or
+	// SSD before the rollback can still hold an aborted write. An ABORT
+	// record therefore re-applies its transaction's before-images, newest
+	// first, where the rollback happened.
+	//
+	// A slot another transaction wrote later is never rolled back: that
+	// writer could take the slot only after the first transaction had ended
+	// with its rollback complete. This covers a loser that ended without
+	// its ABORT reaching the log, and the ABORT this recovery logs for it.
+	written := map[slotKey]uint64{} // slot -> txn of its newest data record
+	open := map[uint64][]*Record{}  // txn -> its data records, oldest first
+	undo := func(rec *Record) error {
+		if written[slotOf(rec)] != rec.TxnID {
+			return nil
+		}
+		if err := app.ApplyUndo(c, rec); err != nil {
+			return fmt.Errorf("wal: undo LSN %d: %w", rec.LSN, err)
+		}
+		return nil
+	}
 	for i := range rl.Records {
 		rec := &rl.Records[i]
 		switch rec.Type {
 		case RecUpdate, RecInsert, RecDelete:
-			if rl.Aborted[rec.TxnID] {
-				// Aborted transactions were rolled back in place before
-				// the abort record; their updates must not be redone.
-				continue
-			}
 			if err := app.ApplyRedo(c, rec); err != nil {
 				return nil, nil, fmt.Errorf("wal: redo LSN %d: %w", rec.LSN, err)
 			}
+			written[slotOf(rec)] = rec.TxnID
+			open[rec.TxnID] = append(open[rec.TxnID], rec)
+		case RecAbort:
+			recs := open[rec.TxnID]
+			for j := len(recs) - 1; j >= 0; j-- {
+				if err := undo(recs[j]); err != nil {
+					return nil, nil, err
+				}
+			}
+			delete(open, rec.TxnID)
+		case RecCommit:
+			delete(open, rec.TxnID)
 		}
 	}
 
@@ -267,8 +306,8 @@ func Recover(c *vclock.Clock, opt Options, app Applier) (*Manager, *RecoveredLog
 		}
 		switch rec.Type {
 		case RecUpdate, RecInsert, RecDelete:
-			if err := app.ApplyUndo(c, rec); err != nil {
-				return nil, nil, fmt.Errorf("wal: undo LSN %d: %w", rec.LSN, err)
+			if err := undo(rec); err != nil {
+				return nil, nil, err
 			}
 		}
 	}

@@ -320,10 +320,8 @@ type Manager struct {
 	// point; the SSD flush is buffer-space management).
 	durableLSN atomic.Uint64
 
-	// affinity pins each worker clock to a shard; rr deals shards
-	// round-robin to clocks seen for the first time.
-	affinity sync.Map // *vclock.Clock -> int
-	rr       atomic.Uint64
+	// affinity pins each worker clock to a shard.
+	affinity vclock.Affinity
 
 	// nextLSN is the lock-free LSN allocator — the one shared word every
 	// committer must touch. Padding keeps that RMW from false-sharing with
@@ -417,15 +415,7 @@ func (m *Manager) Shards() int { return len(m.shards) }
 // round-robin on first use and stay pinned (worker affinity keeps a worker's
 // records batched in one region and its cache lines hot).
 func (m *Manager) shardFor(c *vclock.Clock) *walShard {
-	if len(m.shards) == 1 {
-		return m.shards[0]
-	}
-	if v, ok := m.affinity.Load(c); ok {
-		return m.shards[v.(int)]
-	}
-	i := int((m.rr.Add(1) - 1) % uint64(len(m.shards)))
-	v, _ := m.affinity.LoadOrStore(c, i)
-	return m.shards[v.(int)]
+	return m.shards[m.affinity.Shard(c, len(m.shards))]
 }
 
 // Lock shims: WAL mutex acquisitions route through these so the
@@ -581,11 +571,10 @@ func (m *Manager) Append(c *vclock.Clock, rec *Record) (uint64, error) {
 		sh.commits++
 	}
 	m.unlockShard(sh)
-	var err error
 	if needFlush {
-		err = m.maybeGroupFlush(c, rec.LSN)
+		m.maybeGroupFlush(c, rec.LSN)
 	}
-	return rec.LSN, err
+	return rec.LSN, nil
 }
 
 // maybeGroupFlush is the group-commit ticket check: if a concurrent leader's
@@ -595,21 +584,17 @@ func (m *Manager) Append(c *vclock.Clock, rec *Record) (uint64, error) {
 // flushMu the caller skips out instead of convoying behind it: the record is
 // NVM-durable (commit happened at Append), the threshold flush is only
 // buffer-space management, and any bytes the in-flight flush misses retrigger
-// it from the next append over the threshold.
-func (m *Manager) maybeGroupFlush(c *vclock.Clock, lsn uint64) error {
-	if m.durableLSN.Load() >= lsn {
-		return nil
+// it from the next append over the threshold. For the same reason a failed
+// flush is not the appender's error: its shards keep their records, and the
+// next append over the threshold, an overflow drain or Flush retries it.
+func (m *Manager) maybeGroupFlush(c *vclock.Clock, lsn uint64) {
+	if m.durableLSN.Load() >= lsn || !m.tryLockFlush() {
+		return
 	}
-	if !m.tryLockFlush() {
-		return nil
+	if m.durableLSN.Load() < lsn {
+		_ = m.combinedFlush(c) //vet:allow droppederr maybeGroupFlush only frees buffer space; a failed flush keeps its records in the shards
 	}
-	if m.durableLSN.Load() >= lsn {
-		m.unlockFlush()
-		return nil
-	}
-	err := m.combinedFlush(c)
 	m.unlockFlush()
-	return err
 }
 
 // groupFlush runs a combined flush unconditionally (overflow drains and the
